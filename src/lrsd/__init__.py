@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .matrix import DenseMatrix, read_tsv, write_tsv
 from .metrics import BenchmarkRow, DetectionReport, benchmark, score
-from .numerics import SvdFactors, inverse_normal_cdf, median_all, svd
 from .reporting import SnpReport, StudyEmbedding, embed_studies, extract_snps
 from .simulate import PatternSpec, SimulatedInstance, compute_snr, factor_vectors, generate
 from .solver import (
@@ -17,6 +16,7 @@ from .solver import (
     estimate_sigma,
     objective,
     optimality_residual,
+    resolve_params,
     soft_threshold,
     solve,
     svt,
@@ -35,7 +35,6 @@ __all__ = [
     "SolverResult",
     "StudyEmbedding",
     "StudySummary",
-    "SvdFactors",
     "align",
     "auto_config",
     "auto_threshold",
@@ -48,17 +47,15 @@ __all__ = [
     "extract_snps",
     "factor_vectors",
     "generate",
-    "inverse_normal_cdf",
-    "median_all",
     "objective",
     "optimality_residual",
     "p_to_z",
     "parse_study",
     "read_tsv",
+    "resolve_params",
     "score",
     "soft_threshold",
     "solve",
-    "svd",
     "svt",
     "write_tsv",
 ]

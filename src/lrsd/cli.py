@@ -14,17 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .matrix import DenseMatrix, read_tsv, write_tsv
-from .metrics import benchmark, score, write_benchmark_tsv
+from .matrix import read_tsv, write_tsv
+from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, extract_snps, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
 from .solver import (
     DegenerateInputError,
     SolverConfig,
     auto_threshold,
-    default_params,
-    detect,
     estimate_sigma,
+    resolve_params,
     solve,
 )
 from .sumstats import (
@@ -45,39 +44,6 @@ def _write_manifest(path, entries: dict) -> None:
         fh.write(f"tool_version={__version__}\n")
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")
-
-
-def _resolve_params(data, args):
-    """Resolve (alpha, beta, T) from flags or from the data, with provenance."""
-    resolved = {}
-    sigma = None
-    if args.alpha is None or args.beta is None or args.threshold is None:
-        sigma = estimate_sigma(data)
-        resolved["sigma_hat"] = f"{sigma!r} (rule: 1.48*MAD)"
-    if args.alpha is not None and args.beta is not None:
-        alpha, beta = args.alpha, args.beta
-        resolved["alpha"] = f"{alpha!r} (flag)"
-        resolved["beta"] = f"{beta!r} (flag)"
-    else:
-        n, p = data.shape
-        alpha, beta = default_params(n, p, sigma)
-        if args.alpha is not None:
-            alpha = args.alpha
-            resolved["alpha"] = f"{alpha!r} (flag)"
-        else:
-            resolved["alpha"] = f"{alpha!r} (rule: (sqrt(n)+sqrt(p))*sigma_hat)"
-        if args.beta is not None:
-            beta = args.beta
-            resolved["beta"] = f"{beta!r} (flag)"
-        else:
-            resolved["beta"] = f"{beta!r} (rule: 2*alpha/sqrt(max(n,p)))"
-    if getattr(args, "threshold", None) is not None:
-        T = args.threshold
-        resolved["threshold"] = f"{T!r} (flag)"
-    else:
-        T = auto_threshold(sigma)
-        resolved["threshold"] = f"{T!r} (rule: 0.3*sigma_hat)"
-    return alpha, beta, T, resolved
 
 
 def cmd_simulate(args) -> int:
@@ -102,7 +68,7 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        alpha, beta, T, resolved = _resolve_params(D.values, args)
+        alpha, beta, T, resolved = resolve_params(D, args.alpha, args.beta, args.threshold)
         config = SolverConfig(
             alpha=alpha,
             beta=beta,
@@ -126,7 +92,7 @@ def cmd_decompose(args) -> int:
     manifest = dict(
         subcommand="decompose",
         input=args.input,
-        **{k: v for k, v in resolved.items()},
+        **resolved,
         max_iterations=config.max_iterations,
         rel_tolerance=config.rel_tolerance,
         iterations_used=result.iterations_used,
@@ -145,13 +111,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.benchmark:
-        specs = [
-            PatternSpec(pattern_id=pid, signal_divisor=div, seed=args.seed)
-            for pid in (1, 2, 3, 4)
-            for div in (1.0, 1.2, 1.5)
-        ]
-        rows = benchmark(specs, args.seeds)
-        write_benchmark_tsv(rows, args.out)
+        rows = benchmark(benchmark_grid(args.seed), args.seeds)
+        if args.out:
+            write_benchmark_tsv(rows, args.out)
         for r in rows:
             print(
                 f"pattern {r.pattern_id} divisor {r.divisor:g}: SNR {r.snr_mean:.2f} "
@@ -225,7 +187,9 @@ def cmd_analyze(args) -> int:
     write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
 
     try:
-        alpha, beta, T, resolved = _resolve_params(panel.z_matrix.values, args)
+        alpha, beta, T, resolved = resolve_params(
+            panel.z_matrix, args.alpha, args.beta, args.threshold
+        )
         config = SolverConfig(alpha=alpha, beta=beta, detection_threshold=T)
     except (DegenerateInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

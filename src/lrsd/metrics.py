@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .simulate import PatternSpec, generate
-from .solver import SolverConfig, auto_config, detect, solve
+from .solver import auto_config, detect, solve
 
 
 @dataclass(frozen=True)
@@ -63,42 +63,34 @@ class BenchmarkRow:
     n_seeds: int
 
 
-def run_cell(spec: PatternSpec, n_seeds: int, config: SolverConfig | None = None):
+def benchmark_grid(seed: int = 0) -> list[PatternSpec]:
+    """The 12 cells of the simulation benchmark: patterns 1-4 x divisors 1.0, 1.2, 1.5."""
+    return [
+        PatternSpec(pattern_id=pid, signal_divisor=div, seed=seed)
+        for pid in (1, 2, 3, 4)
+        for div in (1.0, 1.2, 1.5)
+    ]
+
+
+def run_cell(spec: PatternSpec, n_seeds: int):
     """Generate/solve/detect/score one (pattern, divisor) cell over seeds."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     reports, snrs = [], []
     for i in range(n_seeds):
-        inst = generate(
-            PatternSpec(
-                pattern_id=spec.pattern_id,
-                d=spec.d,
-                sparse_prob=spec.sparse_prob,
-                sparse_value=spec.sparse_value,
-                noise_sigma=spec.noise_sigma,
-                signal_divisor=spec.signal_divisor,
-                seed=spec.seed + i,
-            )
-        )
-        cfg = config if config is not None else auto_config(inst.data)
+        inst = generate(replace(spec, seed=spec.seed + i))
+        cfg = auto_config(inst.data)
         result = solve(inst.data, cfg)
-        T = cfg.detection_threshold
-        if T == "auto":
-            T = auto_config(inst.data).detection_threshold
-        reports.append(score(detect(result, T), inst.truth_mask))
+        reports.append(score(detect(result, cfg.detection_threshold), inst.truth_mask))
         snrs.append(inst.snr)
     return reports, snrs
 
 
-def benchmark(
-    patterns: list[PatternSpec],
-    n_seeds: int,
-    config: SolverConfig | None = None,
-) -> list[BenchmarkRow]:
+def benchmark(patterns: list[PatternSpec], n_seeds: int) -> list[BenchmarkRow]:
     """Mean/std of P/R/F1 per pattern spec, averaged over consecutive seeds."""
     rows = []
     for spec in patterns:
-        reports, snrs = run_cell(spec, n_seeds, config)
+        reports, snrs = run_cell(spec, n_seeds)
         ps = np.array([r.precision for r in reports])
         rs = np.array([r.recall for r in reports])
         fs = np.array([r.f1 for r in reports])
@@ -136,19 +128,6 @@ def write_benchmark_tsv(rows: list[BenchmarkRow], path) -> None:
     with open(path, "w") as fh:
         fh.write("\t".join(BENCH_COLUMNS) + "\n")
         for r in rows:
-            fh.write(
-                "\t".join(
-                    [
-                        str(r.pattern_id),
-                        f"{r.divisor:g}",
-                        f"{r.snr_mean:.4f}",
-                        f"{r.precision_mean:.4f}",
-                        f"{r.precision_std:.4f}",
-                        f"{r.recall_mean:.4f}",
-                        f"{r.recall_std:.4f}",
-                        f"{r.f1_mean:.4f}",
-                        f"{r.f1_std:.4f}",
-                    ]
-                )
-                + "\n"
-            )
+            # every column after pattern and divisor is the BenchmarkRow field of that name
+            stats = [f"{getattr(r, c):.4f}" for c in BENCH_COLUMNS[2:]]
+            fh.write("\t".join([str(r.pattern_id), f"{r.divisor:g}", *stats]) + "\n")

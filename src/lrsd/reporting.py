@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import DenseMatrix, as_array
-from .solver import RANK_TOL, SolverResult
+from .solver import SolverResult, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class SnpReport:
     shared: tuple[SharedSnp, ...]
     specific: tuple[SpecificSnp, ...]
     threshold: float
-
-
-def numerical_rank(singular_values: np.ndarray) -> int:
-    s = np.asarray(singular_values)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int((s > RANK_TOL * s[0]).sum())
 
 
 def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:

@@ -10,18 +10,22 @@ unique global minimum regardless of initialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matrix import DenseMatrix, as_array
-from .numerics import median_all
 
 MAD_TO_SIGMA = 1.48          # normal-consistency factor for the MAD scale estimate
 BETA_RATIO = 2.0             # beta = BETA_RATIO * alpha / sqrt(larger dimension)
 DETECTION_SCALE = 0.3        # auto threshold T = DETECTION_SCALE * sigma_hat
 RANK_TOL = 1e-9              # singular values below RANK_TOL*s1 count as zero
 _POLISH_ITERS = 2            # extra sweeps after the objective criterion fires
+_RULE_TEXT = dict(           # provenance of a rule-derived value, as the manifest shows it
+    alpha="(sqrt(n)+sqrt(p))*sigma_hat",
+    beta="2*alpha/sqrt(max(n,p))",
+    threshold="0.3*sigma_hat",
+)
 
 
 class DegenerateInputError(ValueError):
@@ -96,11 +100,14 @@ def soft_threshold(M, beta: float) -> np.ndarray:
 def estimate_sigma(D) -> float:
     """Robust noise scale: 1.48 * median(|D - median(D)|).
 
-    Returns 0 for constant input; callers doing auto-parameterization must
-    treat that as degenerate.
+    Medians of an even number of entries are the mid-mean of the two central
+    ones. Returns 0 for constant input; callers doing auto-parameterization
+    must treat that as degenerate.
     """
     a = as_array(D)
-    return MAD_TO_SIGMA * float(np.median(np.abs(a - median_all(a))))
+    if a.size == 0:
+        raise ValueError("median of an empty matrix is undefined")
+    return MAD_TO_SIGMA * float(np.median(np.abs(a - float(np.median(a)))))
 
 
 def default_params(n: int, p: int, sigma: float) -> tuple[float, float]:
@@ -128,14 +135,50 @@ def auto_threshold(sigma: float) -> float:
     return DETECTION_SCALE * sigma
 
 
-def auto_config(D, **overrides) -> SolverConfig:
-    """SolverConfig with alpha, beta and threshold resolved from the data."""
+def resolve_params(
+    D, alpha=None, beta=None, threshold=None
+) -> tuple[float, float, float, dict[str, str]]:
+    """Resolve (alpha, beta, T): given values are kept, missing ones follow the rules.
+
+    The noise scale is estimated only when a value is missing. A missing
+    beta follows the rule alpha even when alpha itself is given. Returns
+    alpha, beta, T and the provenance of each value as manifest text, keyed
+    sigma_hat (present only when estimated), alpha, beta, threshold.
+    """
     a = as_array(D)
-    sigma = estimate_sigma(a)
-    alpha, beta = default_params(a.shape[0], a.shape[1], sigma)
-    defaults = dict(alpha=alpha, beta=beta, detection_threshold=auto_threshold(sigma))
-    defaults.update(overrides)
-    return SolverConfig(**defaults)
+    given = dict(alpha=alpha, beta=beta, threshold=threshold)
+    provenance, rules = {}, {}
+    if None in given.values():
+        sigma = estimate_sigma(a)
+        provenance["sigma_hat"] = f"{sigma!r} (rule: 1.48*MAD)"
+    if alpha is None or beta is None:
+        rules["alpha"], rules["beta"] = default_params(a.shape[0], a.shape[1], sigma)
+    if threshold is None:
+        rules["threshold"] = auto_threshold(sigma)
+    for name, value in given.items():
+        if value is None:
+            given[name] = rules[name]
+            provenance[name] = f"{rules[name]!r} (rule: {_RULE_TEXT[name]})"
+        else:
+            provenance[name] = f"{value!r} (flag)"
+    return given["alpha"], given["beta"], given["threshold"], provenance
+
+
+def auto_config(D) -> SolverConfig:
+    """SolverConfig with alpha, beta and threshold resolved from the data."""
+    alpha, beta, T, _ = resolve_params(D)
+    return SolverConfig(alpha=alpha, beta=beta, detection_threshold=T)
+
+
+def numerical_rank(s: np.ndarray) -> int:
+    """Number of singular values s (sorted non-increasing) counted as nonzero.
+
+    A value counts when it exceeds RANK_TOL * max(s[0], RANK_TOL); the floor
+    keeps a spectrum whose leading value is itself below RANK_TOL from
+    counting round-off as rank.
+    """
+    s1 = s[0] if s.size else 0.0
+    return int((s > RANK_TOL * max(s1, RANK_TOL)).sum()) if s1 > 0 else 0
 
 
 def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
@@ -145,8 +188,12 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     A couple of extra sweeps are run after the criterion first fires so the
     returned pair also satisfies the first-order optimality conditions
     tightly; the trace stays non-increasing throughout. Hitting the
-    iteration cap is reported via converged=False, not an error.
+    iteration cap is reported via converged=False, not an error. D, x0 and
+    e0 must be finite; NaN or Inf raises ValueError before any work.
     """
+    for name, m in (("D", D), ("x0", x0), ("e0", e0)):
+        if m is not None and not np.isfinite(as_array(m)).all():
+            raise ValueError(f"solve: {name} has NaN or Inf entries")
     d = as_array(D)
     labels = {}
     if isinstance(D, DenseMatrix):
@@ -158,7 +205,6 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     alpha, beta = config.alpha, config.beta
     F = objective(d, X, E, alpha, beta)
     trace = [F]
-    s_thr = np.linalg.svd(X, compute_uv=False)
     converged = False
     iterations = 0
     settle = 0
@@ -186,15 +232,13 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
             settle = 0
         F = F_new
 
-    s1 = s_thr[0] if s_thr.size else 0.0
-    rank = int((s_thr > RANK_TOL * max(s1, RANK_TOL)).sum()) if s1 > 0 else 0
     return SolverResult(
         X_hat=DenseMatrix(X, **labels),
         E_hat=DenseMatrix(E, **labels),
         objective_trace=tuple(trace),
         iterations_used=iterations,
         converged=converged,
-        rank_of_X=rank,
+        rank_of_X=numerical_rank(s_thr),
         nnz_of_E=int(np.count_nonzero(E)),
     )
 
@@ -213,8 +257,7 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
     R = d - x - e
 
     U, s, Vt = np.linalg.svd(x, full_matrices=False)
-    s1 = s[0] if s.size else 0.0
-    r = int((s > RANK_TOL * max(s1, RANK_TOL)).sum()) if s1 > 0 else 0
+    r = numerical_rank(s)
     terms = []
     if r > 0:
         U1, V1t = U[:, :r], Vt[:r, :]

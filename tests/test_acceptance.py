@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lrsd.matrix import DenseMatrix
-from lrsd.metrics import benchmark, score
+from lrsd.metrics import benchmark, benchmark_grid
 from lrsd.reporting import embed_studies, single_linkage_groups
 from lrsd.simulate import PatternSpec, generate
 from lrsd.solver import (
@@ -46,11 +46,9 @@ def _report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def benchmark_rows():
-    specs = [
-        PatternSpec(pattern_id=pid, signal_divisor=div)
-        for pid in (1, 2, 3, 4)
-        for div in (1.0, 1.2, 1.5)
-    ]
+    specs = benchmark_grid()
+    cells = [(s.pattern_id, s.signal_divisor) for s in specs]
+    assert sorted(cells) == sorted((p, d) for p in F1_TARGETS for d in F1_TARGETS[p])
     return benchmark(specs, N_SEEDS)
 
 

@@ -86,6 +86,42 @@ class TestDecompose:
         assert float(mani["duration_s"]) >= 0
 
 
+SMALL = np.array([
+    [0.3, -1.2, 2.5, 0.0],
+    [1.1, 0.4, -0.7, 3.2],
+    [-0.9, 2.2, 0.6, -0.1],
+    [0.5, -0.3, 1.8, 0.9],
+    [2.7, 0.2, -1.5, 0.4],
+    [-0.4, 1.3, 0.1, -2.1],
+])
+SIGMA_RULE = "sigma_hat=1.1099999999999999 (rule: 1.48*MAD)"
+ALPHA_RULE = "alpha=4.9389336144893266 (rule: (sqrt(n)+sqrt(p))*sigma_hat)"
+BETA_RULE = "beta=4.0326224096595515 (rule: 2*alpha/sqrt(max(n,p)))"
+T_RULE = "threshold=0.33299999999999996 (rule: 0.3*sigma_hat)"
+
+
+@pytest.mark.parametrize(
+    "flags, lines",
+    [
+        ([], [SIGMA_RULE, ALPHA_RULE, BETA_RULE, T_RULE]),
+        # a missing beta follows the rule alpha, not the flag
+        (["--alpha", "2"], [SIGMA_RULE, "alpha=2.0 (flag)", BETA_RULE, T_RULE]),
+        (["--alpha", "2", "--beta", "1"],
+         [SIGMA_RULE, "alpha=2.0 (flag)", "beta=1.0 (flag)", T_RULE]),
+        (["--alpha", "2", "--beta", "1", "--threshold", "0.5"],
+         ["alpha=2.0 (flag)", "beta=1.0 (flag)", "threshold=0.5 (flag)"]),
+    ],
+)
+def test_manifest_parameter_provenance(tmp_path, flags, lines):
+    src = tmp_path / "small.tsv"
+    write_tsv(DenseMatrix(SMALL), src)
+    rc = main(["decompose", "--input", str(src), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    keys = ("sigma_hat=", "alpha=", "beta=", "threshold=")
+    manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert [ln for ln in manifest if ln.startswith(keys)] == lines
+
+
 class TestEvaluate:
     def test_perfect_fixture(self, tmp_path, capsys):
         mask = DenseMatrix(np.eye(4))
@@ -120,6 +156,13 @@ class TestEvaluate:
     def test_missing_args(self, tmp_path, capsys):
         rc = main(["evaluate", "--truth", "x.tsv"])
         assert rc == 2
+
+    def test_benchmark_without_out_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["evaluate", "--benchmark", "--seeds", "1"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 12
+        assert list(tmp_path.iterdir()) == []
 
     def test_xe_without_threshold_or_input(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")

@@ -11,6 +11,7 @@ from lrsd.solver import (
     default_params,
     detect,
     estimate_sigma,
+    numerical_rank,
     objective,
     optimality_residual,
     soft_threshold,
@@ -107,6 +108,40 @@ class TestSigmaAndParams:
 
     def test_direct_formula(self):
         assert estimate_sigma(np.array([[1.0, 2, 3, 4, 100]])) == pytest.approx(1.48)
+
+    def test_odd_count(self):
+        # both medians run over all entries of the matrix, not per row: the
+        # central entry of 0..7 plus an outlier is 4, and the central
+        # absolute deviation from it is 2
+        a = np.array([[0.0, 1, 2], [3, 4, 5], [6, 7, 1000]])
+        assert estimate_sigma(a) == pytest.approx(1.48 * 2.0)
+
+    def test_constant(self):
+        for value in (7.0, -3.5):
+            for shape in ((4, 5), (1, 1), (2, 2)):
+                assert estimate_sigma(np.full(shape, value)) == 0.0
+
+    def test_even_count_midmean(self):
+        # median 2.5 (mid-mean of 2 and 3), then median |a - 2.5| = 2.0; a
+        # lower or upper central value would give 1.5 or 2.5
+        assert estimate_sigma(np.array([[0.0, 1, 2], [3, 6, 7]])) == pytest.approx(1.48 * 2.0)
+
+    def test_accepts_dense_matrix(self):
+        a = np.array([[1.0, 3.0, 4.0]])
+        assert estimate_sigma(DenseMatrix(a)) == estimate_sigma(a) == pytest.approx(1.48)
+
+    def test_empty_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            estimate_sigma(np.zeros((0, 3)))
+
+    @settings(max_examples=50)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.randoms())
+    def test_permutation_invariant(self, entries, rnd):
+        shuffled = list(entries)
+        rnd.shuffle(shuffled)
+        a = np.array(entries).reshape(1, -1)
+        b = np.array(shuffled).reshape(1, -1)
+        assert estimate_sigma(a) == estimate_sigma(b)
 
     def test_gaussian_consistency(self):
         rng = np.random.default_rng(3)
@@ -212,6 +247,19 @@ class TestSolve:
                 < 1e-4 * (cfg.alpha + cfg.beta)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["D", "x0", "e0"])
+    def test_rejects_nonfinite(self, arg, bad):
+        D = np.ones((4, 3))
+        kwargs = dict(x0=None, e0=None)
+        if arg == "D":
+            D[1, 2] = bad
+        else:
+            kwargs[arg] = np.zeros((4, 3))
+            kwargs[arg][0, 0] = bad
+        with pytest.raises(ValueError, match=f"{arg} has NaN or Inf"):
+            solve(D, SolverConfig(alpha=1.0, beta=1.0), **kwargs)
+
     def test_labels_propagate(self):
         D = DenseMatrix(np.zeros((2, 2)), row_labels=("a", "b"), col_labels=("x", "y"))
         res = solve(D, SolverConfig(alpha=1.0, beta=1.0))
@@ -250,6 +298,20 @@ class TestDetect:
         res = solve(np.zeros((2, 2)), SolverConfig(alpha=1.0, beta=1.0))
         with pytest.raises(ValueError):
             detect(res, -1.0)
+
+
+@pytest.mark.parametrize(
+    "s, rank",
+    [
+        ([], 0),
+        ([0.0, 0.0], 0),
+        ([3.0, 1.0, 2e-9], 2),
+        # s1 below RANK_TOL: the cut is RANK_TOL**2, not RANK_TOL*s1
+        ([1e-12, 5e-13, 1e-19], 2),
+    ],
+)
+def test_numerical_rank(s, rank):
+    assert numerical_rank(np.array(s)) == rank
 
 
 def test_auto_config_degenerate_input():
