@@ -110,6 +110,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        try:  # an unwritable --out fails before the work, not after it
+            open(args.out, "w").close()
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
     if args.benchmark:
         rows = benchmark(benchmark_grid(args.seed), args.seeds)
         if args.out:

@@ -5,6 +5,16 @@ alternating two exact proximal steps: singular value thresholding for the
 low-rank component X and elementwise soft-thresholding for the sparse
 component E. The objective is jointly convex, so the alternation reaches the
 unique global minimum regardless of initialization.
+
+Singular value thresholding works through the small Gram matrix: for an
+n x p input A with p <= n (A is transposed when n < p), the eigenpairs of
+the p x p matrix A^T A give the singular values s and right singular
+vectors V, and X = (A V_k) (V_k diag((s_k - lam)/s_k))^T over s_k > lam.
+That costs two thin products with A instead of a thin SVD of it, and the
+shrunk singular values it returns give the nuclear norm of X for free.
+Squaring A costs digits in the small singular values only: the error in X,
+relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
+or s1/lam exceeds GRAM_MAX_RATIO, the step falls back to an exact SVD.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ MAD_TO_SIGMA = 1.48          # normal-consistency factor for the MAD scale estim
 BETA_RATIO = 2.0             # beta = BETA_RATIO * alpha / sqrt(larger dimension)
 DETECTION_SCALE = 0.3        # auto threshold T = DETECTION_SCALE * sigma_hat
 RANK_TOL = 1e-9              # singular values below RANK_TOL*s1 count as zero
+GRAM_MAX_RATIO = 1e4         # SVT leaves the Gram route for an exact SVD above this s1/lam
 _POLISH_ITERS = 2            # extra sweeps after the objective criterion fires
 _RULE_TEXT = dict(           # provenance of a rule-derived value, as the manifest shows it
     alpha="(sqrt(n)+sqrt(p))*sigma_hat",
@@ -76,17 +87,55 @@ def objective(D, X, E, alpha: float, beta: float) -> float:
     return float(0.5 * ((d - x - e) ** 2).sum() + alpha * nuc + beta * np.abs(e).sum())
 
 
+def _svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of a by lam written into out; returns out and the shrunk singular values.
+
+    The shrunk values max(s - lam, 0) come sorted non-increasing, one per
+    min(n, p). Uses the Gram route of the module docstring unless lam is 0
+    or s1/lam > GRAM_MAX_RATIO, where it takes an exact thin SVD instead.
+    """
+    if lam > 0:
+        wide = a.shape[0] < a.shape[1]
+        b = a.T if wide else a
+        w, V = np.linalg.eigh(b.T @ b)
+        s = np.sqrt(np.maximum(w[::-1], 0.0))
+        if s.size == 0 or s[0] <= GRAM_MAX_RATIO * lam:
+            k = int((s > lam).sum())
+            Vk = V[:, ::-1][:, :k]
+            W = Vk * ((s[:k] - lam) / s[:k])
+            if wide:
+                np.matmul(W, Vk.T @ a, out=out)
+            else:
+                np.matmul(a @ Vk, W.T, out=out)
+            return out, np.maximum(s - lam, 0.0)
+    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+    s_thr = np.maximum(s - lam, 0.0)
+    return np.matmul(U * s_thr, Vt, out=out), s_thr
+
+
 def svt(M, lam: float) -> np.ndarray:
     """Singular value thresholding: shrink each singular value by lam.
 
     Exact proximal operator of lam*||.||_* (the minimizer of
-    0.5*||M - X||_F^2 + lam*||X||_*).
+    0.5*||M - X||_F^2 + lam*||X||_*). Computed from the eigenpairs of the
+    smaller Gram matrix, M^T M or M M^T; an exact SVD of M is used instead
+    when lam is 0 or the largest singular value exceeds GRAM_MAX_RATIO*lam,
+    where squaring M would lose too many digits.
     """
     if lam < 0:
         raise ValueError("svt threshold must be >= 0")
     a = as_array(M)
-    U, s, Vt = np.linalg.svd(a, full_matrices=False)
-    return (U * np.maximum(s - lam, 0.0)) @ Vt
+    return _svt(a, lam, np.empty(a.shape))[0]
+
+
+def _shrink(a: np.ndarray, beta: float, out: np.ndarray) -> float:
+    """Soft-threshold a by beta into out; returns ||out||_1."""
+    np.abs(a, out=out)
+    out -= beta
+    np.maximum(out, 0.0, out=out)
+    l1 = float(out.sum())
+    np.copysign(out, a, out=out)
+    return l1
 
 
 def soft_threshold(M, beta: float) -> np.ndarray:
@@ -94,7 +143,9 @@ def soft_threshold(M, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError("soft threshold must be >= 0")
     a = as_array(M)
-    return np.sign(a) * np.maximum(np.abs(a) - beta, 0.0)
+    out = np.empty(a.shape)
+    _shrink(a, beta, out)
+    return out
 
 
 def estimate_sigma(D) -> float:
@@ -141,9 +192,10 @@ def resolve_params(
     """Resolve (alpha, beta, T): given values are kept, missing ones follow the rules.
 
     The noise scale is estimated only when a value is missing. A missing
-    beta follows the rule alpha even when alpha itself is given. Returns
-    alpha, beta, T and the provenance of each value as manifest text, keyed
-    sigma_hat (present only when estimated), alpha, beta, threshold.
+    beta follows the rule alpha even when alpha itself is given; its
+    provenance then names that rule alpha. Returns alpha, beta, T and the
+    provenance of each value as manifest text, keyed sigma_hat (present only
+    when estimated), alpha, beta, threshold.
     """
     a = as_array(D)
     given = dict(alpha=alpha, beta=beta, threshold=threshold)
@@ -158,7 +210,10 @@ def resolve_params(
     for name, value in given.items():
         if value is None:
             given[name] = rules[name]
-            provenance[name] = f"{rules[name]!r} (rule: {_RULE_TEXT[name]})"
+            rule = _RULE_TEXT[name]
+            if name == "beta" and alpha is not None:
+                rule += f" with rule alpha={rules['alpha']!r}"
+            provenance[name] = f"{rules[name]!r} (rule: {rule})"
         else:
             provenance[name] = f"{value!r} (flag)"
     return given["alpha"], given["beta"], given["threshold"], provenance
@@ -203,24 +258,27 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     _check_same_shape(d, X, E)
 
     alpha, beta = config.alpha, config.beta
-    F = objective(d, X, E, alpha, beta)
+    if x0 is None:  # X = 0: no SVD needed for its nuclear norm
+        F = float(0.5 * ((d - E) ** 2).sum() + beta * np.abs(E).sum())
+    else:
+        F = objective(d, X, E, alpha, beta)
+    R = np.empty(d.shape)  # D - E, then D - X, then the residual D - X - E
+    X_new, E_new = np.empty(d.shape), np.empty(d.shape)
     trace = [F]
     converged = False
     iterations = 0
     settle = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        U, s, Vt = np.linalg.svd(d - E, full_matrices=False)
-        s_thr = np.maximum(s - alpha, 0.0)
-        X_new = (U * s_thr) @ Vt
-        E_new = soft_threshold(d - X_new, beta)
-        F_new = float(
-            0.5 * ((d - X_new - E_new) ** 2).sum()
-            + alpha * s_thr.sum()
-            + beta * np.abs(E_new).sum()
-        )
+        np.subtract(d, E, out=R)
+        _, s_thr = _svt(R, alpha, X_new)
+        np.subtract(d, X_new, out=R)
+        l1 = _shrink(R, beta, E_new)
+        R -= E_new
+        F_new = float(0.5 * np.vdot(R, R) + alpha * s_thr.sum() + beta * l1)
         stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
-        X, E = X_new, E_new
+        X, X_new = X_new, X
+        E, E_new = E_new, E
         trace.append(F_new)
         if (F - F_new) / max(F, 1.0) < config.rel_tolerance:
             converged = True

@@ -104,8 +104,11 @@ T_RULE = "threshold=0.33299999999999996 (rule: 0.3*sigma_hat)"
     "flags, lines",
     [
         ([], [SIGMA_RULE, ALPHA_RULE, BETA_RULE, T_RULE]),
-        # a missing beta follows the rule alpha, not the flag
-        (["--alpha", "2"], [SIGMA_RULE, "alpha=2.0 (flag)", BETA_RULE, T_RULE]),
+        # a missing beta follows the rule alpha, not the flag, and says so
+        (["--alpha", "2"],
+         [SIGMA_RULE, "alpha=2.0 (flag)",
+          "beta=4.0326224096595515 (rule: 2*alpha/sqrt(max(n,p)) with rule alpha=4.9389336144893266)",
+          T_RULE]),
         (["--alpha", "2", "--beta", "1"],
          [SIGMA_RULE, "alpha=2.0 (flag)", "beta=1.0 (flag)", T_RULE]),
         (["--alpha", "2", "--beta", "1", "--threshold", "0.5"],
@@ -163,6 +166,22 @@ class TestEvaluate:
         assert rc == 0
         assert len(capsys.readouterr().out.splitlines()) == 12
         assert list(tmp_path.iterdir()) == []
+
+    def test_benchmark_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.tsv"
+        rc = main(["evaluate", "--benchmark", "--seeds", "1", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the grid never ran
+        assert captured.err.startswith("error:") and str(out) in captured.err
+
+    def test_report_unwritable_out(self, tmp_path, capsys):
+        write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
+        out = tmp_path / "missing" / "rep.tsv"
+        rc = main(["evaluate", "--mask", str(tmp_path / "m.tsv"),
+                   "--truth", str(tmp_path / "m.tsv"), "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_xe_without_threshold_or_input(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")

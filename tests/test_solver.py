@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from lrsd.matrix import DenseMatrix
 from lrsd.solver import (
+    GRAM_MAX_RATIO,
     DegenerateInputError,
     SolverConfig,
     auto_config,
@@ -17,6 +20,7 @@ from lrsd.solver import (
     soft_threshold,
     solve,
     svt,
+    _svt,
 )
 
 
@@ -73,6 +77,47 @@ class TestSvt:
             P = rng.normal(size=X.shape)
             P *= 1e-3 / np.linalg.norm(P)
             assert f(X + P) >= base - 1e-12
+
+
+@st.composite
+def svt_cases(draw):
+    """M = U diag(s) V^T of any shape and rank, and lam from s1/lam in [0.1, 1e8] or 0."""
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(n, p)))
+    s1 = 10.0 ** draw(st.floats(-3, 3))
+    log_ratio = draw(st.one_of(st.none(), st.floats(-1, 8)))
+    lam = 0.0 if log_ratio is None else s1 / 10.0**log_ratio
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = max(rank - 1, 0)  # singular values besides s1
+    if lam > 0 and draw(st.booleans()):
+        # crowded around lam, where the round-off of the Gram route matters most
+        rest = lam * (1 + 10.0 ** draw(st.floats(-9, -1)) * rng.uniform(-1, 1, m))
+    else:
+        # spread over up to 12 decades below s1
+        rest = s1 * 10.0 ** -rng.uniform(0, draw(st.floats(0, 12)), m)
+    s = np.r_[s1, np.minimum(rest, s1)][:rank]
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :rank]
+    V = np.linalg.qr(rng.normal(size=(p, p)))[0][:, :rank]
+    return (U * s) @ V.T, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(svt_cases())
+def test_svt_matches_svd_oracle(case):
+    # the prox is 1-Lipschitz, so its error is measured against the size of M
+    M, lam = case
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    s_oracle = np.maximum(s - lam, 0.0)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        X, s_thr = _svt(M, lam, np.empty(M.shape))
+    err = np.linalg.norm(X - (U * s_oracle) @ Vt) / max(np.linalg.norm(M), 1e-300)
+    target(err)  # steer the search towards the spectra the Gram route handles worst
+    assert err <= 1e-10
+    assert np.abs(s_thr - s_oracle).max() <= 1e-10 * max(s[0], 1e-300)
+    assert np.array_equal(svt(M, lam), X)
+    ratio = s[0] / lam if lam > 0 else np.inf
+    if abs(ratio / GRAM_MAX_RATIO - 1) > 1e-9:  # clear of the cut, where round-off decides
+        assert spy.call_count == (1 if lam == 0 or ratio > GRAM_MAX_RATIO else 0)
 
 
 class TestSoftThreshold:
@@ -259,6 +304,20 @@ class TestSolve:
             kwargs[arg][0, 0] = bad
         with pytest.raises(ValueError, match=f"{arg} has NaN or Inf"):
             solve(D, SolverConfig(alpha=1.0, beta=1.0), **kwargs)
+
+    @pytest.mark.parametrize("with_e0", [False, True])
+    def test_zero_start_objective_without_svd(self, with_e0, monkeypatch):
+        rng = np.random.default_rng(9)
+        D = rng.normal(size=(300, 6)) + 3 * np.outer(rng.normal(size=300), rng.normal(size=6))
+        E0 = soft_threshold(D, 2.0) if with_e0 else np.zeros_like(D)
+        cfg = auto_config(D)
+        svd, shapes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        res = solve(D, cfg, e0=E0 if with_e0 else None)
+        monkeypatch.undo()
+        assert shapes == []
+        F0 = objective(D, np.zeros_like(D), E0, cfg.alpha, cfg.beta)
+        assert res.objective_trace[0] == pytest.approx(F0, rel=1e-12)
 
     def test_labels_propagate(self):
         D = DenseMatrix(np.zeros((2, 2)), row_labels=("a", "b"), col_labels=("x", "y"))
