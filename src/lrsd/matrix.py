@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_WRITE_BLOCK = 4096   # rows formatted per block, bounding the Python floats held
+
 
 @dataclass(frozen=True)
 class DenseMatrix:
@@ -65,18 +67,56 @@ def as_array(m) -> np.ndarray:
 
 
 def write_tsv(m: DenseMatrix, path) -> None:
-    """Write a matrix as TSV; labels become a header row / first column."""
+    """Write a matrix as TSV; labels become a header row / first column.
+
+    Entries are written as `repr` of the float, which round-trips exactly.
+    """
     with open(path, "w") as fh:
         if m.col_labels is not None:
             head = list(m.col_labels)
             if m.row_labels is not None:
                 head = ["id"] + head
             fh.write("\t".join(head) + "\n")
-        for i in range(m.n_rows):
-            row = [repr(float(x)) for x in m.values[i]]
-            if m.row_labels is not None:
-                row = [m.row_labels[i]] + row
-            fh.write("\t".join(row) + "\n")
+        for start in range(0, m.n_rows, _WRITE_BLOCK):
+            rows = m.values[start:start + _WRITE_BLOCK].tolist()
+            if m.row_labels is None:
+                fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
+            else:
+                labels = m.row_labels[start:start + _WRITE_BLOCK]
+                fh.writelines(
+                    "\t".join([label, *map(repr, row)]) + "\n"
+                    for label, row in zip(labels, rows)
+                )
+
+
+def _split_fields(text: str, width: int) -> list[str] | None:
+    """All tab-separated fields of `text`, row-major, in one split.
+
+    `text` is whole lines, each ending in a newline. Returns None unless
+    every line holds exactly `width` fields; the caller then falls back to
+    its line scan, which words the error. Blank lines are the caller's:
+    `read_tsv` drops them first, and in a study file they fail this count
+    or the p-value parse.
+    """
+    raw = np.frombuffer(text.encode(), np.uint8)
+    tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+    # line k is whole when exactly (k + 1) * (width - 1) tabs precede its end
+    per_line = width - 1
+    if len(tabs) != per_line * len(ends) or not np.array_equal(
+        np.searchsorted(tabs, ends), np.arange(1, len(ends) + 1) * per_line
+    ):
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()   # the empty field after the last newline
+    return fields
+
+
+def _numeric(s: str) -> bool:
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
 
 
 def read_tsv(path, header: bool | None = None, row_labels: bool | None = None) -> DenseMatrix:
@@ -87,33 +127,57 @@ def read_tsv(path, header: bool | None = None, row_labels: bool | None = None) -
     `header`/`row_labels` force the choice when the heuristic is unwanted.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        lines = list(filter(str.strip, fh.read().split("\n")))
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    rows = [ln.split("\t") for ln in lines]
 
-    def _numeric(s: str) -> bool:
-        try:
-            float(s)
-            return True
-        except ValueError:
-            return False
-
+    first = lines[0].split("\t")
     if header is None:
-        header = not all(_numeric(f) for f in rows[0][1:] or rows[0])
+        header = not all(_numeric(f) for f in first[1:] or first)
+    header_row = None
+    if header:
+        header_row = first
+        del lines[0]
+        if not lines:
+            raise ValueError(f"{path}: header but no data rows")
+        first = lines[0].split("\t")
+    if row_labels is None:
+        row_labels = not _numeric(first[0])
+
+    width = len(first)
+    labels, data = None, None
+    fields = _split_fields("\n".join(lines) + "\n", width)
+    if fields is not None:
+        if row_labels:
+            labels = fields[::width]
+            del fields[::width]
+        try:
+            data = np.fromiter(map(float, fields), float, len(fields))
+        except ValueError:
+            pass   # the line scan below names the line
+    if data is None:
+        labels, data = _scan_rows(path, lines, width, row_labels, 2 if header else 1)
+    data = data.reshape(len(lines), width - 1 if row_labels else width)
     col_labels = None
     if header:
-        header_row = rows.pop(0)
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    if row_labels is None:
-        row_labels = not _numeric(rows[0][0])
+        col_labels = header_row[1:] if row_labels else header_row
+        if len(col_labels) != data.shape[1]:
+            raise ValueError(
+                f"{path}: header has {len(col_labels)} labels for {data.shape[1]} columns"
+            )
+    return DenseMatrix(
+        data,
+        row_labels=tuple(labels) if labels else None,
+        col_labels=tuple(col_labels) if col_labels else None,
+    )
 
-    width = len(rows[0])
+
+def _scan_rows(path, lines, width, row_labels, first_lineno):
+    """Per-line reference parse of the data rows; errors name the line."""
     labels = [] if row_labels else None
     data = []
-    for k, fields in enumerate(rows):
-        lineno = k + (2 if header else 1)
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split("\t")
         if len(fields) != width:
             raise ValueError(
                 f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
@@ -122,17 +186,7 @@ def read_tsv(path, header: bool | None = None, row_labels: bool | None = None) -
             labels.append(fields[0])
             fields = fields[1:]
         try:
-            data.append([float(f) for f in fields])
+            data.extend(float(f) for f in fields)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if header:
-        col_labels = header_row[1:] if row_labels else header_row
-        if len(col_labels) != len(data[0]):
-            raise ValueError(
-                f"{path}: header has {len(col_labels)} labels for {len(data[0])} columns"
-            )
-    return DenseMatrix(
-        np.array(data, dtype=float),
-        row_labels=tuple(labels) if labels else None,
-        col_labels=tuple(col_labels) if col_labels else None,
-    )
+    return labels, np.array(data, dtype=float)

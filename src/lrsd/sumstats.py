@@ -8,13 +8,14 @@ z-score magnitudes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from .matrix import DenseMatrix, write_tsv
+from .matrix import DenseMatrix, _split_fields, write_tsv
 
 P_CLAMP = 1e-300   # smaller p-values are clamped here (z ~ 37) and counted
 IMPUTED_P = 0.5    # null p-value used for missing (snp, study) entries
@@ -42,6 +43,8 @@ class AlignedPanel:
 
 def p_to_z(p: float) -> float:
     """Two-sided z magnitude Phi^{-1}(1 - p/2), computed stably in the tail."""
+    from scipy import special
+
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p-value must be in (0, 1], got {p}")
     p = max(p, P_CLAMP)
@@ -50,6 +53,8 @@ def p_to_z(p: float) -> float:
 
 def z_to_p(z: float) -> float:
     """Inverse of p_to_z: two-sided p-value of a z magnitude."""
+    from scipy import special
+
     return float(2.0 * special.ndtr(-abs(z)))
 
 
@@ -68,29 +73,56 @@ def parse_study(path, study_name: str | None = None) -> StudySummary:
             raise SumstatsParseError(
                 f"{path}: header must contain 'snp' and 'p' columns, got {header}"
             ) from None
-        records: dict[str, float] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) <= max(snp_col, p_col):
-                raise SumstatsParseError(f"{path}:{lineno}: too few columns")
-            snp = fields[snp_col].strip()
-            try:
-                p = float(fields[p_col])
-            except ValueError:
-                raise SumstatsParseError(
-                    f"{path}:{lineno}: unparseable p-value {fields[p_col]!r}"
-                ) from None
-            if not 0.0 < p <= 1.0:
-                raise SumstatsParseError(
-                    f"{path}:{lineno}: p-value {p} outside (0, 1]"
-                )
-            if snp in records:
-                raise SumstatsParseError(f"{path}:{lineno}: duplicate SNP id {snp!r}")
-            records[snp] = p
+        body = fh.read()
+    records = _bulk_records(body, len(header), snp_col, p_col)
+    if records is None:
+        records = _scan_records(path, body.split("\n"), snp_col, p_col)
     return StudySummary(study_name=name, records=records)
+
+
+def _bulk_records(body, width, snp_col, p_col) -> dict[str, float] | None:
+    """Records of a body the bulk split takes cleanly: every row `width`
+    fields, every p-value in (0, 1], no SNP twice. None otherwise."""
+    if body and not body.endswith("\n"):
+        body += "\n"
+    fields = _split_fields(body, width)
+    if fields is None:
+        return None
+    n = len(fields) // width
+    try:
+        p = np.fromiter(map(float, fields[p_col::width]), float, n)
+    except ValueError:
+        return None
+    if not np.all((p > 0.0) & (p <= 1.0)):   # NaN fails both
+        return None
+    records = dict(zip(map(str.strip, fields[snp_col::width]), p.tolist()))
+    return records if len(records) == n else None
+
+
+def _scan_records(path, lines, snp_col, p_col) -> dict[str, float]:
+    """Per-line reference parse of the body; errors name the line."""
+    records: dict[str, float] = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) <= max(snp_col, p_col):
+            raise SumstatsParseError(f"{path}:{lineno}: too few columns")
+        snp = fields[snp_col].strip()
+        try:
+            p = float(fields[p_col])
+        except ValueError:
+            raise SumstatsParseError(
+                f"{path}:{lineno}: unparseable p-value {fields[p_col]!r}"
+            ) from None
+        if not 0.0 < p <= 1.0:
+            raise SumstatsParseError(
+                f"{path}:{lineno}: p-value {p} outside (0, 1]"
+            )
+        if snp in records:
+            raise SumstatsParseError(f"{path}:{lineno}: duplicate SNP id {snp!r}")
+        records[snp] = p
+    return records
 
 
 def align(studies: list[StudySummary], k: int) -> AlignedPanel:
@@ -99,12 +131,13 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
     Missing entries are imputed at p = 0.5 (z = 0 exactly) and flagged in
     imputed_mask. SNPs are ordered lexicographically for determinism.
     """
+    from scipy import special
+
     if not 1 <= k <= len(studies):
         raise ValueError(f"min coverage k={k} outside 1..{len(studies)}")
-    coverage: dict[str, int] = {}
+    coverage: Counter[str] = Counter()
     for st in studies:
-        for snp in st.records:
-            coverage[snp] = coverage.get(snp, 0) + 1
+        coverage.update(st.records.keys())
     kept = sorted(s for s, c in coverage.items() if c >= k)
     if not kept:
         best = max(coverage.values(), default=0)
@@ -113,18 +146,22 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
         )
 
     n, p = len(kept), len(studies)
+    row_of = dict(zip(kept, range(n)))
     z = np.zeros((n, p))
-    imputed = np.zeros((n, p), dtype=bool)
+    imputed = np.ones((n, p), dtype=bool)
     n_clamped = 0
     for j, st in enumerate(studies):
-        for i, snp in enumerate(kept):
-            pv = st.records.get(snp)
-            if pv is None:
-                imputed[i, j] = True   # z stays exactly 0
-                continue
-            if pv < P_CLAMP:
-                n_clamped += 1
-            z[i, j] = p_to_z(pv)
+        m = len(st.records)
+        rows = np.fromiter(map(row_of.get, st.records, repeat(-1, m)), np.intp, m)
+        pv = np.fromiter(st.records.values(), float, m)
+        hit = rows >= 0
+        rows, pv = rows[hit], pv[hit]
+        bad = ~((pv > 0.0) & (pv <= 1.0))
+        if bad.any():   # p_to_z raises for the first bad p-value in row order
+            p_to_z(float(pv[bad][np.argmin(rows[bad])]))
+        n_clamped += int(np.count_nonzero(pv < P_CLAMP))
+        z[rows, j] = -special.ndtri(np.maximum(pv, P_CLAMP) / 2.0)
+        imputed[rows, j] = False   # z stays exactly 0 where imputed
     names = tuple(st.study_name for st in studies)
     return AlignedPanel(
         snp_ids=tuple(kept),

@@ -1,3 +1,7 @@
+import hashlib
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -229,7 +233,67 @@ def _toy_manifest(tmp_path):
     return mani
 
 
+def _golden_manifest(tmp_path):
+    """297 kept SNPs x 6 studies, deterministic on any platform.
+
+    Studies skip about 8% of SNPs (imputed entries); a shared block and a
+    few spikes make both reports non-empty. study0 carries one p below the
+    clamp, one p = 1 (z = -0.0) and one blank line.
+    """
+    rng = random.Random(20150101)
+    lines = []
+    for j in range(6):
+        rows = []
+        for i in range(300):
+            if rng.random() < 0.08:
+                continue
+            z = abs(rng.gauss(0.0, 1.0))
+            if i < 30 and j < 4:
+                z += 4.0
+            if (i * 7 + j * 11) % 97 == 0:
+                z += 6.0
+            rows.append(f"rs{1000 + 13 * i}\t{math.erfc(z / math.sqrt(2.0)):.6g}")
+        if j == 0:
+            rows[5] = rows[5].split("\t")[0] + "\t1e-310"
+            rows[20] = rows[20].split("\t")[0] + "\t1"
+            rows.insert(10, "")
+        (tmp_path / f"study{j}.tsv").write_text("snp\tp\n" + "\n".join(rows) + "\n")
+        lines.append(f"study{j}\tstudy{j}.tsv")
+    mani = tmp_path / "studies.txt"
+    mani.write_text("\n".join(lines) + "\n")
+    return mani
+
+
+# sha256 of each output, recorded from the per-entry writers and parsers
+# that the bulk text layers replaced
+GOLDEN_SHA256 = {
+    "z.tsv": "8fda6600009a2cf0d4033f390b9d130e620fbf23467baed9c5d24713477352d3",
+    "imputed_mask.tsv": "84a7ba4377fa1aac008368532de73eabd15d5e080719a08e77e6dfe9c02a2767",
+    "X.tsv": "40b44b7bf723757c8d60911f1c2e80b2f0ee134c6510f4a8766d1a6d4b013fa5",
+    "E.tsv": "c5b64952ec6d5d5d3372598f4842abd67630f257148b3f1aa62af148f7bdc365",
+    "embedding.tsv": "fbe54b3a260aed64e7cb5732205aed66ef264cca4280dd816c6af0608b748a75",
+    "shared.tsv": "a1c7698dbff333d380003bf72159ace27464a3e5ae466c4a85ac794c1f34be54",
+    "specific.tsv": "4248ce56fc4b04d1c7457f84edd0881cd029b547d3c25618845059bdf3f19cb7",
+}
+
+
 class TestAnalyze:
+    def test_golden_outputs(self, tmp_path, capsys):
+        mani = _golden_manifest(tmp_path)
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith(
+            "297 SNPs x 6 studies; rank(X) 2, 294 shared rows, 78 specific entries;"
+        )
+        run = _read_manifest(tmp_path / "out" / "manifest.txt")
+        assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert digests == GOLDEN_SHA256
+
     def test_toy_pipeline(self, tmp_path):
         mani = _toy_manifest(tmp_path)
         rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "2",

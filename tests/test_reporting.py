@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrsd.matrix import DenseMatrix
 from lrsd.reporting import (
+    SharedSnp,
+    SnpReport,
+    SpecificSnp,
     embed_studies,
     extract_snps,
     single_linkage_groups,
@@ -153,6 +159,68 @@ class TestExtractSnps:
         res = _result(np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(ValueError):
             extract_snps(res, -1.0)
+
+
+def _extract_reference(result, T):
+    """The per-row loop that `extract_snps` replaced, kept as its oracle."""
+    X, E = result.X_hat, result.E_hat
+    snp_ids, studies = X.row_labels, X.col_labels
+    shared = []
+    absX = np.abs(X.values)
+    for i in np.where(absX.max(axis=1) > T)[0]:
+        cols = np.where(absX[i] > T)[0]
+        shared.append(SharedSnp(
+            snp_id=snp_ids[i],
+            studies=tuple(studies[j] for j in cols),
+            magnitudes=tuple(float(X.values[i, j]) for j in cols),
+            max_magnitude=float(absX[i].max()),
+        ))
+    shared.sort(key=lambda s: -s.max_magnitude)
+    specific = [
+        SpecificSnp(snp_id=snp_ids[i], study=studies[j], value=float(E.values[i, j]))
+        for i, j in zip(*np.where(np.abs(E.values) > T))
+    ]
+    specific.sort(key=lambda s: -abs(s.value))
+    return SnpReport(shared=tuple(shared), specific=tuple(specific), threshold=T)
+
+
+def _write_report_reference(report, shared_path, specific_path):
+    with open(shared_path, "w") as fh:
+        fh.write("snp\tmax_magnitude\tstudies\tmagnitudes\n")
+        for s in report.shared:
+            fh.write(
+                f"{s.snp_id}\t{s.max_magnitude:.6g}\t"
+                f"{','.join(s.studies)}\t{','.join(f'{m:.6g}' for m in s.magnitudes)}\n"
+            )
+    with open(specific_path, "w") as fh:
+        fh.write("snp\tstudy\tvalue\n")
+        for s in report.specific:
+            fh.write(f"{s.snp_id}\t{s.study}\t{s.value:.6g}\n")
+
+
+# few distinct magnitudes, so that equal row maxima and equal |E| entries
+# (ties the sort must keep in row-major order) are common
+tied = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0, 1e-300, 7.25])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 15), st.integers(1, 5)), elements=tied),
+    arrays(float, st.tuples(st.integers(1, 15), st.integers(1, 5)), elements=tied),
+    st.sampled_from([0.0, 1.0, 2.5, 2.9]),
+)
+def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T):
+    E = np.resize(E, X.shape)
+    rows = tuple(f"rs{i}" for i in range(X.shape[0]))
+    cols = tuple(f"s{j}" for j in range(X.shape[1]))
+    result = _result(X, E, rows, cols)
+    got, want = extract_snps(result, T), _extract_reference(result, T)
+    assert got == want
+    d = tmp_path_factory.mktemp("rep")
+    write_snp_report(got, d / "shared.tsv", d / "specific.tsv")
+    _write_report_reference(want, d / "shared_ref.tsv", d / "specific_ref.tsv")
+    assert (d / "shared.tsv").read_bytes() == (d / "shared_ref.tsv").read_bytes()
+    assert (d / "specific.tsv").read_bytes() == (d / "specific_ref.tsv").read_bytes()
 
 
 def test_writers(tmp_path):
