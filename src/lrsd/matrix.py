@@ -89,28 +89,6 @@ def write_tsv(m: DenseMatrix, path) -> None:
                 )
 
 
-def _split_fields(text: str, width: int) -> list[str] | None:
-    """All tab-separated fields of `text`, row-major, in one split.
-
-    `text` is whole lines, each ending in a newline. Returns None unless
-    every line holds exactly `width` fields; the caller then falls back to
-    its line scan, which words the error. Blank lines are the caller's:
-    `read_tsv` drops them first, and in a study file they fail this count
-    or the p-value parse.
-    """
-    raw = np.frombuffer(text.encode(), np.uint8)
-    tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-    # line k is whole when exactly (k + 1) * (width - 1) tabs precede its end
-    per_line = width - 1
-    if len(tabs) != per_line * len(ends) or not np.array_equal(
-        np.searchsorted(tabs, ends), np.arange(1, len(ends) + 1) * per_line
-    ):
-        return None
-    fields = text.replace("\n", "\t").split("\t")
-    fields.pop()   # the empty field after the last newline
-    return fields
-
-
 def _numeric(s: str) -> bool:
     try:
         float(s)
@@ -119,47 +97,31 @@ def _numeric(s: str) -> bool:
         return False
 
 
-def read_tsv(path, header: bool | None = None, row_labels: bool | None = None) -> DenseMatrix:
+def read_tsv(path) -> DenseMatrix:
     """Read a TSV matrix, auto-detecting a header row and a label column.
 
     Detection rule: a first line whose non-initial fields are not all numeric
-    is a header; a first column that is not numeric holds row labels.
-    `header`/`row_labels` force the choice when the heuristic is unwanted.
+    is a header; a first column that is not numeric holds row labels. Blank
+    lines are skipped; error line numbers count them.
     """
     with open(path) as fh:
-        lines = list(filter(str.strip, fh.read().split("\n")))
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-
-    first = lines[0].split("\t")
-    if header is None:
-        header = not all(_numeric(f) for f in first[1:] or first)
-    header_row = None
-    if header:
-        header_row = first
-        del lines[0]
-        if not lines:
-            raise ValueError(f"{path}: header but no data rows")
-        first = lines[0].split("\t")
-    if row_labels is None:
+        start, lineno, first = _next_row(fh, 0)
+        if first is None:
+            raise ValueError(f"{path}: empty matrix file")
+        header_row = None
+        if not all(_numeric(f) for f in first[1:] or first):
+            header_row = first
+            start, lineno, first = _next_row(fh, lineno)
+            if first is None:
+                raise ValueError(f"{path}: header but no data rows")
         row_labels = not _numeric(first[0])
-
-    width = len(first)
-    labels, data = None, None
-    fields = _split_fields("\n".join(lines) + "\n", width)
-    if fields is not None:
-        if row_labels:
-            labels = fields[::width]
-            del fields[::width]
-        try:
-            data = np.fromiter(map(float, fields), float, len(fields))
-        except ValueError:
-            pass   # the line scan below names the line
-    if data is None:
-        labels, data = _scan_rows(path, lines, width, row_labels, 2 if header else 1)
-    data = data.reshape(len(lines), width - 1 if row_labels else width)
+        width = len(first)
+        labels, data = _load_rows(fh, start, width, row_labels)
+        if data is None:
+            fh.seek(start)
+            labels, data = _scan_rows(path, fh, width, row_labels, lineno)
     col_labels = None
-    if header:
+    if header_row is not None:
         col_labels = header_row[1:] if row_labels else header_row
         if len(col_labels) != data.shape[1]:
             raise ValueError(
@@ -172,12 +134,53 @@ def read_tsv(path, header: bool | None = None, row_labels: bool | None = None) -
     )
 
 
+def _next_row(fh, lineno):
+    """(offset, physical line number, fields) of the next non-blank line after
+    line `lineno`; fields is None at the end of the file."""
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            return start, lineno, None
+        lineno += 1
+        if line.strip():
+            return start, lineno, line.rstrip("\n").split("\t")
+
+
+def _load_rows(fh, start, width, row_labels):
+    """Labels and values of the rows from offset `start` by numpy's text
+    reader, which holds no Python object per entry. (None, None) when it does
+    not take the file as the line scan would: a bad number, a ragged or
+    whitespace-only line, or a spelling only `float()` accepts such as `1_000`.
+    """
+    fh.seek(start)
+    try:
+        data = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2,
+                          usecols=range(1, width) if row_labels else None)
+    except ValueError:
+        return None, None
+    if not row_labels:
+        return None, data
+    # usecols drops a long row's extra fields, so count each row's tabs here
+    fh.seek(start)
+    labels = []
+    for line in fh:
+        if line.strip():
+            if line.count("\t") != width - 1:
+                return None, None
+            labels.append(line.partition("\t")[0].rstrip("\n"))
+    # loadtxt skips only empty lines; a blank one it kept has no label here
+    return (labels, data) if len(labels) == len(data) else (None, None)
+
+
 def _scan_rows(path, lines, width, row_labels, first_lineno):
     """Per-line reference parse of the data rows; errors name the line."""
     labels = [] if row_labels else None
     data = []
     for lineno, line in enumerate(lines, start=first_lineno):
-        fields = line.split("\t")
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
         if len(fields) != width:
             raise ValueError(
                 f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
@@ -186,7 +189,7 @@ def _scan_rows(path, lines, width, row_labels, first_lineno):
             labels.append(fields[0])
             fields = fields[1:]
         try:
-            data.extend(float(f) for f in fields)
+            data.append([float(f) for f in fields])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return labels, np.array(data, dtype=float)

@@ -158,7 +158,10 @@ def estimate_sigma(D) -> float:
     a = as_array(D)
     if a.size == 0:
         raise ValueError("median of an empty matrix is undefined")
-    return MAD_TO_SIGMA * float(np.median(np.abs(a - float(np.median(a)))))
+    w = a.copy()   # the one n x p copy; both medians partition it in place
+    np.subtract(w, np.median(w, overwrite_input=True), out=w)
+    np.abs(w, out=w)
+    return MAD_TO_SIGMA * float(np.median(w, overwrite_input=True))
 
 
 def default_params(n: int, p: int, sigma: float) -> tuple[float, float]:

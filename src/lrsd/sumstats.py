@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import DenseMatrix, _split_fields, write_tsv
+from .matrix import DenseMatrix, write_tsv
 
 P_CLAMP = 1e-300   # smaller p-values are clamped here (z ~ 37) and counted
 IMPUTED_P = 0.5    # null p-value used for missing (snp, study) entries
@@ -97,6 +97,27 @@ def _bulk_records(body, width, snp_col, p_col) -> dict[str, float] | None:
         return None
     records = dict(zip(map(str.strip, fields[snp_col::width]), p.tolist()))
     return records if len(records) == n else None
+
+
+def _split_fields(text: str, width: int) -> list[str] | None:
+    """All tab-separated fields of `text`, row-major, in one split.
+
+    `text` is whole lines, each ending in a newline. Returns None unless
+    every line holds exactly `width` fields; the caller then falls back to
+    its line scan, which words the error. A blank line fails this count or
+    the p-value parse.
+    """
+    raw = np.frombuffer(text.encode(), np.uint8)
+    tabs, ends = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+    # line k is whole when exactly (k + 1) * (width - 1) tabs precede its end
+    per_line = width - 1
+    if len(tabs) != per_line * len(ends) or not np.array_equal(
+        np.searchsorted(tabs, ends), np.arange(1, len(ends) + 1) * per_line
+    ):
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    fields.pop()   # the empty field after the last newline
+    return fields
 
 
 def _scan_records(path, lines, snp_col, p_col) -> dict[str, float]:

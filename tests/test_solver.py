@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lrsd.matrix import DenseMatrix
 from lrsd.solver import (
@@ -187,6 +188,17 @@ class TestSigmaAndParams:
         a = np.array(entries).reshape(1, -1)
         b = np.array(shuffled).reshape(1, -1)
         assert estimate_sigma(a) == estimate_sigma(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, 1.0, -2.5]))),
+           st.booleans())
+    def test_in_place_medians_match_copying_expression(self, a, transpose):
+        a = a.T if transpose else a   # a strided view as well as a contiguous array
+        before = a.copy()
+        oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+        assert estimate_sigma(a) == oracle   # bit for bit
+        assert np.array_equal(a, before)   # the caller's array is untouched
 
     def test_gaussian_consistency(self):
         rng = np.random.default_rng(3)
