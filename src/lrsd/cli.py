@@ -46,6 +46,11 @@ def _write_manifest(path, entries: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
+def _cannot_write(exc: OSError, path) -> int:
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def cmd_simulate(args) -> int:
     spec = PatternSpec(
         pattern_id=args.pattern,
@@ -80,15 +85,12 @@ def cmd_decompose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    result = solve(D, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_tsv(result.X_hat, out / "X.tsv")
-    write_tsv(result.E_hat, out / "E.tsv")
-    with open(out / "trace.tsv", "w") as fh:
-        fh.write("iteration\tobjective\n")
-        for i, f in enumerate(result.objective_trace):
-            fh.write(f"{i}\t{f!r}\n")
+    try:  # an unwritable --out fails before the solve, not after it
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc, out)
+    result = solve(D, config)
     manifest = dict(
         subcommand="decompose",
         input=args.input,
@@ -99,9 +101,18 @@ def cmd_decompose(args) -> int:
         converged=result.converged,
         rank_of_X=result.rank_of_X,
         nnz_of_E=result.nnz_of_E,
-        duration_s=f"{time.monotonic() - t0:.3f}",
     )
-    _write_manifest(out / "manifest.txt", manifest)
+    try:
+        write_tsv(result.X_hat, out / "X.tsv")
+        write_tsv(result.E_hat, out / "E.tsv")
+        with open(out / "trace.tsv", "w") as fh:
+            fh.write("iteration\tobjective\n")
+            for i, f in enumerate(result.objective_trace):
+                fh.write(f"{i}\t{f!r}\n")
+        manifest["duration_s"] = f"{time.monotonic() - t0:.3f}"
+        _write_manifest(out / "manifest.txt", manifest)
+    except OSError as exc:
+        return _cannot_write(exc, out)
     print(
         f"iterations {result.iterations_used}, converged {result.converged}, "
         f"rank(X) {result.rank_of_X}, nnz(E) {result.nnz_of_E}"
@@ -114,8 +125,7 @@ def cmd_evaluate(args) -> int:
         try:  # an unwritable --out fails before the work, not after it
             open(args.out, "w").close()
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return EXIT_INPUT
+            return _cannot_write(exc, args.out)
     if args.benchmark:
         rows = benchmark(benchmark_grid(args.seed), args.seeds)
         if args.out:
@@ -187,10 +197,14 @@ def cmd_analyze(args) -> int:
     except (OSError, SumstatsParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    del studies  # the parsed records are a run's largest objects; the panel holds what is used
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
+    try:  # an unwritable --out fails before the solve, not after it
+        out.mkdir(parents=True, exist_ok=True)
+        write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
+    except OSError as exc:
+        return _cannot_write(exc, out)
 
     try:
         alpha, beta, T, resolved = resolve_params(
@@ -201,41 +215,51 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     result = solve(panel.z_matrix, config)
-    write_tsv(result.X_hat, out / "X.tsv")
-    write_tsv(result.E_hat, out / "E.tsv")
-
-    r = min(args.embed_rank, max(result.rank_of_X, 0))
-    if r >= 1:
-        embedding = embed_studies(result.X_hat, r)
-        write_embedding_tsv(embedding, out / "embedding.tsv")
-    else:
-        print("note: recovered low-rank component is zero; no embedding written")
-    report = extract_snps(result, T)
-    write_snp_report(report, out / "shared.tsv", out / "specific.tsv")
-
-    manifest = dict(
-        subcommand="analyze",
-        manifest=args.manifest,
-        n_studies=len(studies),
-        n_snps=len(panel.snp_ids),
-        min_coverage=args.min_coverage,
-        n_imputed=int(panel.imputed_mask.sum()),
-        n_clamped=panel.n_clamped,
-        embed_rank=r,
-        **resolved,
-        iterations_used=result.iterations_used,
-        converged=result.converged,
-        rank_of_X=result.rank_of_X,
-        nnz_of_E=result.nnz_of_E,
-        duration_s=f"{time.monotonic() - t0:.3f}",
-    )
-    _write_manifest(out / "manifest.txt", manifest)
+    r = min(args.embed_rank, result.rank_of_X)
+    try:
+        write_tsv(result.X_hat, out / "X.tsv")
+        write_tsv(result.E_hat, out / "E.tsv")
+        if r >= 1:
+            write_embedding_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
+        else:
+            print("note: recovered low-rank component is zero; no embedding written")
+        report = extract_snps(result, T)
+        write_snp_report(report, out / "shared.tsv", out / "specific.tsv")
+        manifest = dict(
+            subcommand="analyze",
+            manifest=args.manifest,
+            n_studies=len(panel.study_names),
+            n_snps=len(panel.snp_ids),
+            min_coverage=args.min_coverage,
+            n_imputed=int(panel.imputed_mask.sum()),
+            n_clamped=panel.n_clamped,
+            embed_rank=r,
+            **resolved,
+            iterations_used=result.iterations_used,
+            converged=result.converged,
+            rank_of_X=result.rank_of_X,
+            nnz_of_E=result.nnz_of_E,
+            duration_s=f"{time.monotonic() - t0:.3f}",
+        )
+        _write_manifest(out / "manifest.txt", manifest)
+    except OSError as exc:
+        return _cannot_write(exc, out)
     print(
-        f"{len(panel.snp_ids)} SNPs x {len(studies)} studies; "
+        f"{len(panel.snp_ids)} SNPs x {len(panel.study_names)} studies; "
         f"rank(X) {result.rank_of_X}, {len(report.shared)} shared rows, "
         f"{len(report.specific)} specific entries; {manifest['duration_s']}s"
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="end-to-end summary-statistics analysis")
     p_an.add_argument("--manifest", required=True)
     p_an.add_argument("--min-coverage", type=int, required=True)
-    p_an.add_argument("--embed-rank", type=int, default=3)
+    p_an.add_argument("--embed-rank", type=_positive_int, default=3)
     p_an.add_argument("--alpha", type=float, default=None)
     p_an.add_argument("--beta", type=float, default=None)
     p_an.add_argument("--threshold", type=float, default=None)

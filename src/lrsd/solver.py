@@ -15,6 +15,15 @@ shrunk singular values it returns give the nuclear norm of X for free.
 Squaring A costs digits in the small singular values only: the error in X,
 relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
 or s1/lam exceeds GRAM_MAX_RATIO, the step falls back to an exact SVD.
+
+A sweep of `solve` is bound by memory traffic, not flops, so it streams
+row blocks of the tall orientation (about 256 KB each) twice through one
+block-sized buffer instead of making whole-matrix passes: the first pass
+sums the Gram matrix of D - E block by block, the second recomputes each
+block of D - E, forms its rows of X and of E, and adds its share of the
+objective. Only the Gram sum and the objective's sums see the blocking, so
+a tall input of at most one block gives the whole-matrix arithmetic bit for
+bit, and a larger one agrees with it to round-off.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ DETECTION_SCALE = 0.3        # auto threshold T = DETECTION_SCALE * sigma_hat
 RANK_TOL = 1e-9              # singular values below RANK_TOL*s1 count as zero
 GRAM_MAX_RATIO = 1e4         # SVT leaves the Gram route for an exact SVD above this s1/lam
 _POLISH_ITERS = 2            # extra sweeps after the objective criterion fires
+_SWEEP_BYTES = 1 << 18       # bytes per row block of a sweep: 1,024 float64 rows at p = 32
 _RULE_TEXT = dict(           # provenance of a rule-derived value, as the manifest shows it
     alpha="(sqrt(n)+sqrt(p))*sigma_hat",
     beta="2*alpha/sqrt(max(n,p))",
@@ -87,6 +97,28 @@ def objective(D, X, E, alpha: float, beta: float) -> float:
     return float(0.5 * ((d - x - e) ** 2).sum() + alpha * nuc + beta * np.abs(e).sum())
 
 
+def _gram_svt(G: np.ndarray, lam: float):
+    """SVT factors from the Gram matrix G = A^T A of some A, for lam > 0.
+
+    Returns (V_k, W, shrunk singular values) with SVT(A) = (A V_k) W^T, or
+    None when s1/lam > GRAM_MAX_RATIO and the exact SVD must be used.
+    """
+    w, V = np.linalg.eigh(G)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    if s.size and s[0] > GRAM_MAX_RATIO * lam:
+        return None
+    k = int((s > lam).sum())
+    Vk = V[:, ::-1][:, :k]
+    return Vk, Vk * ((s[:k] - lam) / s[:k]), np.maximum(s - lam, 0.0)
+
+
+def _svd_svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SVT of a by lam through an exact thin SVD; out may be a itself."""
+    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+    s_thr = np.maximum(s - lam, 0.0)
+    return np.matmul(U * s_thr, Vt, out=out), s_thr
+
+
 def _svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SVT of a by lam written into out; returns out and the shrunk singular values.
 
@@ -97,20 +129,15 @@ def _svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.nda
     if lam > 0:
         wide = a.shape[0] < a.shape[1]
         b = a.T if wide else a
-        w, V = np.linalg.eigh(b.T @ b)
-        s = np.sqrt(np.maximum(w[::-1], 0.0))
-        if s.size == 0 or s[0] <= GRAM_MAX_RATIO * lam:
-            k = int((s > lam).sum())
-            Vk = V[:, ::-1][:, :k]
-            W = Vk * ((s[:k] - lam) / s[:k])
+        factors = _gram_svt(b.T @ b, lam)
+        if factors is not None:
+            Vk, W, s_thr = factors
             if wide:
                 np.matmul(W, Vk.T @ a, out=out)
             else:
                 np.matmul(a @ Vk, W.T, out=out)
-            return out, np.maximum(s - lam, 0.0)
-    U, s, Vt = np.linalg.svd(a, full_matrices=False)
-    s_thr = np.maximum(s - lam, 0.0)
-    return np.matmul(U * s_thr, Vt, out=out), s_thr
+            return out, s_thr
+    return _svd_svt(a, lam, out)
 
 
 def svt(M, lam: float) -> np.ndarray:
@@ -239,6 +266,43 @@ def numerical_rank(s: np.ndarray) -> int:
     return int((s > RANK_TOL * max(s1, RANK_TOL)).sum()) if s1 > 0 else 0
 
 
+def _sweep(d, E, X_new, E_new, alpha: float, beta: float) -> tuple[float, np.ndarray]:
+    """One sweep: X_new = SVT(d - E, alpha), then E_new = soft(d - X_new, beta).
+
+    Returns the objective at (X_new, E_new) and the shrunk singular values.
+    The two passes over row blocks are those of the module docstring; a
+    wide input is swept through its transpose. When the Gram route does not
+    apply, d - E is built in X_new for the exact SVD instead.
+    """
+    wide = d.shape[0] < d.shape[1]
+    dt, Et, Xt, E_newt = (a.T if wide else a for a in (d, E, X_new, E_new))
+    n, p = dt.shape
+    rows = max(1, _SWEEP_BYTES // (8 * max(p, 1)))
+    bounds = [(i, min(i + rows, n)) for i in range(0, n, rows)]
+    buf = np.empty((min(rows, n), p))
+    G = np.zeros((p, p))
+    for i, j in bounds:
+        r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+        G += r.T @ r
+    factors = _gram_svt(G, alpha)
+    if factors is None:
+        np.subtract(d, E, out=X_new)
+        s_thr = _svd_svt(X_new, alpha, X_new)[1]
+    else:
+        Vk, W, s_thr = factors
+    l1 = rr = 0.0
+    for i, j in bounds:
+        r = buf[: j - i]
+        if factors is not None:
+            np.subtract(dt[i:j], Et[i:j], out=r)
+            np.matmul(r @ Vk, W.T, out=Xt[i:j])
+        np.subtract(dt[i:j], Xt[i:j], out=r)
+        l1 += _shrink(r, beta, E_newt[i:j])
+        r -= E_newt[i:j]   # the residual d - X_new - E_new
+        rr += float(np.vdot(r, r))
+    return 0.5 * rr + alpha * float(s_thr.sum()) + beta * l1, s_thr
+
+
 def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     """Alternate SVT and soft-thresholding from X = E = 0 until convergence.
 
@@ -265,7 +329,6 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
         F = float(0.5 * ((d - E) ** 2).sum() + beta * np.abs(E).sum())
     else:
         F = objective(d, X, E, alpha, beta)
-    R = np.empty(d.shape)  # D - E, then D - X, then the residual D - X - E
     X_new, E_new = np.empty(d.shape), np.empty(d.shape)
     trace = [F]
     converged = False
@@ -273,20 +336,17 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     settle = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        np.subtract(d, E, out=R)
-        _, s_thr = _svt(R, alpha, X_new)
-        np.subtract(d, X_new, out=R)
-        l1 = _shrink(R, beta, E_new)
-        R -= E_new
-        F_new = float(0.5 * np.vdot(R, R) + alpha * s_thr.sum() + beta * l1)
-        stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
+        F_new, s_thr = _sweep(d, E, X_new, E_new, alpha, beta)
         X, X_new = X_new, X
         E, E_new = E_new, E
         trace.append(F_new)
         if (F - F_new) / max(F, 1.0) < config.rel_tolerance:
             converged = True
             settle += 1
-            if stalled or settle > _POLISH_ITERS:
+            # a sweep that reproduced its input exactly has nothing left to polish
+            if settle > _POLISH_ITERS or (
+                np.array_equal(X, X_new) and np.array_equal(E, E_new)
+            ):
                 break
         else:
             converged = False

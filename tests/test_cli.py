@@ -68,6 +68,18 @@ class TestDecompose:
         assert rc == 2
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked", ["out", "X.tsv", "trace.tsv", "manifest.txt"])
+    def test_unwritable_out(self, tmp_path, capsys, blocked):
+        src = tmp_path / "m.tsv"
+        write_tsv(DenseMatrix(np.eye(4)), src)
+        out, named = _unwritable_out(tmp_path, blocked)
+        rc = main(["decompose", "--input", str(src), "--alpha", "1", "--beta", "1",
+                   "--threshold", "0.5", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {named}: ")
+        assert captured.out == ""
+
     def test_iteration_cap_exit_3_with_outputs(self, tmp_path):
         rng = np.random.default_rng(0)
         src = tmp_path / "d.tsv"
@@ -127,6 +139,19 @@ def test_manifest_parameter_provenance(tmp_path, flags, lines):
     keys = ("sigma_hat=", "alpha=", "beta=", "threshold=")
     manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
     assert [ln for ln in manifest if ln.startswith(keys)] == lines
+
+
+def _unwritable_out(tmp_path, blocked):
+    """An --out path with one output made unwritable, and the path the error must name.
+
+    "out" puts a regular file where the parent of --out should be a
+    directory; any other name puts a directory where that output file goes.
+    """
+    if blocked == "out":
+        (tmp_path / "f").write_text("")
+        return tmp_path / "f" / "x", tmp_path / "f" / "x"
+    (tmp_path / "o" / blocked).mkdir(parents=True)
+    return tmp_path / "o", tmp_path / "o" / blocked
 
 
 class TestEvaluate:
@@ -309,6 +334,27 @@ class TestAnalyze:
         emb = (tmp_path / "out" / "embedding.tsv")
         if emb.exists():
             assert len(emb.read_text().splitlines()) == 4   # header + 3 studies
+
+    @pytest.mark.parametrize("blocked", ["out", "z.tsv", "X.tsv", "embedding.tsv", "shared.tsv",
+                                         "manifest.txt"])
+    def test_unwritable_out(self, tmp_path, capsys, blocked):
+        mani = _toy_manifest(tmp_path)
+        out, named = _unwritable_out(tmp_path, blocked)
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "2",
+                   "--threshold", "1.0", "--alpha", "2.0", "--beta", "1.0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {named}: ")
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_embed_rank_below_one_usage_error(self, tmp_path, capsys, rank):
+        mani = _toy_manifest(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--manifest", str(mani), "--min-coverage", "2",
+                  "--embed-rank", rank, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument --embed-rank: expected an integer >= 1, got '{rank}'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_study_file(self, tmp_path, capsys):
         mani = tmp_path / "studies.txt"

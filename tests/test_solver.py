@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from lrsd.solver import (
     soft_threshold,
     solve,
     svt,
+    _shrink,
     _svt,
 )
 
@@ -336,6 +338,99 @@ class TestSolve:
         res = solve(D, SolverConfig(alpha=1.0, beta=1.0))
         assert res.X_hat.row_labels == ("a", "b")
         assert res.E_hat.col_labels == ("x", "y")
+
+
+def _whole_matrix_solve(d, cfg):
+    """solve from X = E = 0 with one whole-matrix pass per step: the blocked sweep's oracle."""
+    X, E = np.zeros_like(d), np.zeros_like(d)
+    F = float(0.5 * ((d - E) ** 2).sum() + cfg.beta * np.abs(E).sum())
+    R, X_new, E_new = np.empty(d.shape), np.empty(d.shape), np.empty(d.shape)
+    trace, settle = [F], 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        np.subtract(d, E, out=R)
+        _, s_thr = _svt(R, cfg.alpha, X_new)
+        np.subtract(d, X_new, out=R)
+        l1 = _shrink(R, cfg.beta, E_new)
+        R -= E_new
+        F_new = float(0.5 * np.vdot(R, R) + cfg.alpha * s_thr.sum() + cfg.beta * l1)
+        stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
+        X, X_new = X_new, X
+        E, E_new = E_new, E
+        trace.append(F_new)
+        if (F - F_new) / max(F, 1.0) < cfg.rel_tolerance:
+            settle += 1
+            if stalled or settle > 2:
+                break
+        else:
+            settle = 0
+        F = F_new
+    return X, E, trace, iterations
+
+
+@st.composite
+def blocked_solve_cases(draw):
+    """Low rank + spikes + noise, with the long side set against the sweep's block rows.
+
+    Returns the matrix, its config, the block rows and whether the exact-SVD
+    branch (s1/alpha > GRAM_MAX_RATIO) is meant to run.
+    """
+    rows = draw(st.integers(2, 6))
+    long = draw(st.sampled_from([1, rows - 1, rows, rows + 1, rows * draw(st.integers(2, 5))
+                                 + draw(st.integers(0, rows - 1))]))
+    short = draw(st.integers(1, min(long, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 10.0 ** draw(st.floats(-2, 2))
+    alpha, beta = default_params(long, short, sigma)
+    rank = draw(st.integers(0, short))
+    d = sigma * rng.normal(size=(long, short))
+    d += (rng.normal(size=(long, rank)) * alpha * rng.uniform(0.5, 10, rank)) @ (
+        rng.normal(size=(rank, short)) / np.sqrt(long * short))
+    spikes = rng.random(d.shape) < 0.1
+    d[spikes] += rng.choice([-1, 1], spikes.sum()) * beta * rng.uniform(1, 20, spikes.sum())
+    exact_svd = draw(st.booleans())
+    if exact_svd:
+        # far past the Gram route's cut on every sweep
+        alpha = np.linalg.norm(d, 2) / 10.0 ** draw(st.floats(5, 8))
+    if draw(st.booleans()) and short < long:
+        d = d.T.copy()
+    return d, SolverConfig(alpha=alpha, beta=beta, max_iterations=300), rows, exact_svd
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocked_solve_cases())
+def test_blocked_solve_matches_whole_matrix_oracle(case):
+    d, cfg, rows, exact_svd = case
+    X, E, trace, iterations = _whole_matrix_solve(d, cfg)
+    with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * min(d.shape) * rows), \
+            mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd_spy, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh_spy:
+        res = solve(d, cfg)
+    assert svd_spy.called == exact_svd
+    # the Gram matrix is always the small one: a wide input is swept transposed
+    assert {c.args[0].shape for c in eigh_spy.call_args_list} == {(min(d.shape),) * 2}
+    assert res.iterations_used == iterations
+    scale = max(np.linalg.norm(d), 1e-300)
+    assert np.linalg.norm(res.X_hat.values - X) <= 1e-12 * scale
+    assert np.linalg.norm(res.E_hat.values - E) <= 1e-12 * scale
+    assert res.objective_trace == pytest.approx(trace, rel=1e-12)
+    if rows >= d.shape[0] >= d.shape[1]:  # one tall block: the whole-matrix arithmetic, bit for bit
+        assert np.array_equal(res.X_hat.values, X)
+        assert np.array_equal(res.E_hat.values, E)
+        assert res.objective_trace == tuple(trace)
+
+
+def test_solve_memory_bounded():
+    # X, E and the next sweep's pair are the only n x p arrays solve holds
+    rng = np.random.default_rng(0)
+    D = rng.normal(size=(20_000, 32)) + 3 * np.outer(rng.normal(size=20_000), rng.normal(size=32))
+    cfg = auto_config(D)
+    tracemalloc.start()
+    try:
+        solve(D, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * D.nbytes
 
 
 class TestOptimalityResidual:
