@@ -51,27 +51,55 @@ def _cannot_write(exc: OSError, path) -> int:
     return EXIT_INPUT
 
 
+class _Stages:
+    """Wall time per pipeline stage, summed over `time.monotonic()` laps."""
+
+    def __init__(self):
+        self.start = self.last = time.monotonic()
+        self.seconds = {}
+
+    def lap(self, stage: str) -> None:
+        """Charge the time since the previous lap to `stage`."""
+        now = time.monotonic()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self.last
+        self.last = now
+
+    def manifest(self) -> dict:
+        """`time_<stage>_s` per stage, then the run's `duration_s`."""
+        entries = {f"time_{stage}_s": f"{s:.3f}" for stage, s in self.seconds.items()}
+        entries["duration_s"] = f"{time.monotonic() - self.start:.3f}"
+        return entries
+
+
 def cmd_simulate(args) -> int:
-    spec = PatternSpec(
-        pattern_id=args.pattern,
-        signal_divisor=args.divisor,
-        seed=args.seed,
-    )
+    try:
+        spec = PatternSpec(
+            pattern_id=args.pattern,
+            signal_divisor=args.divisor,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     inst = generate(spec)
     out = Path(args.out)
-    save_instance(inst, out)
+    try:
+        save_instance(inst, out)
+    except OSError as exc:
+        return _cannot_write(exc, out)
     print(f"pattern {args.pattern} divisor {args.divisor:g} seed {args.seed}: SNR = {inst.snr:.3f}")
     print(f"wrote {out}/data.tsv, truth.tsv, mask.tsv, meta.txt")
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    t0 = time.monotonic()
+    stages = _Stages()
     try:
         D = read_tsv(args.input)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    stages.lap("read")
     try:
         alpha, beta, T, resolved = resolve_params(D, args.alpha, args.beta, args.threshold)
         config = SolverConfig(
@@ -91,6 +119,7 @@ def cmd_decompose(args) -> int:
     except OSError as exc:
         return _cannot_write(exc, out)
     result = solve(D, config)
+    stages.lap("solve")
     manifest = dict(
         subcommand="decompose",
         input=args.input,
@@ -109,8 +138,8 @@ def cmd_decompose(args) -> int:
             fh.write("iteration\tobjective\n")
             for i, f in enumerate(result.objective_trace):
                 fh.write(f"{i}\t{f!r}\n")
-        manifest["duration_s"] = f"{time.monotonic() - t0:.3f}"
-        _write_manifest(out / "manifest.txt", manifest)
+        stages.lap("write")
+        _write_manifest(out / "manifest.txt", manifest | stages.manifest())
     except OSError as exc:
         return _cannot_write(exc, out)
     print(
@@ -184,7 +213,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    t0 = time.monotonic()
+    stages = _Stages()
     try:
         entries = read_manifest(args.manifest)
         studies = []
@@ -193,11 +222,13 @@ def cmd_analyze(args) -> int:
                 print(f"error: study {name}: missing file {path}", file=sys.stderr)
                 return EXIT_INPUT
             studies.append(parse_study(path, name))
+        stages.lap("parse")
         panel = align(studies, args.min_coverage)
     except (OSError, SumstatsParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     del studies  # the parsed records are a run's largest objects; the panel holds what is used
+    stages.lap("align")
 
     out = Path(args.out)
     try:  # an unwritable --out fails before the solve, not after it
@@ -205,6 +236,7 @@ def cmd_analyze(args) -> int:
         write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
     except OSError as exc:
         return _cannot_write(exc, out)
+    stages.lap("write")
 
     try:
         alpha, beta, T, resolved = resolve_params(
@@ -215,16 +247,19 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     result = solve(panel.z_matrix, config)
+    stages.lap("solve")
     r = min(args.embed_rank, result.rank_of_X)
     try:
         write_tsv(result.X_hat, out / "X.tsv")
         write_tsv(result.E_hat, out / "E.tsv")
+        stages.lap("write")
         if r >= 1:
             write_embedding_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
         else:
             print("note: recovered low-rank component is zero; no embedding written")
         report = extract_snps(result, T)
         write_snp_report(report, out / "shared.tsv", out / "specific.tsv")
+        stages.lap("report")
         manifest = dict(
             subcommand="analyze",
             manifest=args.manifest,
@@ -239,7 +274,7 @@ def cmd_analyze(args) -> int:
             converged=result.converged,
             rank_of_X=result.rank_of_X,
             nnz_of_E=result.nnz_of_E,
-            duration_s=f"{time.monotonic() - t0:.3f}",
+            **stages.manifest(),
         )
         _write_manifest(out / "manifest.txt", manifest)
     except OSError as exc:

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import errno
+import os
+import shutil
+import signal
+import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 _WRITE_BLOCK = 4096   # rows formatted per block, bounding the Python floats held
+_MAX_WRITERS = 8
 
 
 @dataclass(frozen=True)
@@ -70,23 +78,101 @@ def write_tsv(m: DenseMatrix, path) -> None:
     """Write a matrix as TSV; labels become a header row / first column.
 
     Entries are written as `repr` of the float, which round-trips exactly.
+    The rows are split into contiguous shares, one per writer process
+    (`_writers`): this process writes the header and the first share, and
+    each forked writer formats its share into a temporary file in the
+    output's directory, which is appended in order. The bytes do not depend
+    on the number of writers.
     """
+    w = _writers(m.n_rows)
+    bounds = [m.n_rows * i // w for i in range(w + 1)]
     with open(path, "w") as fh:
         if m.col_labels is not None:
             head = list(m.col_labels)
             if m.row_labels is not None:
                 head = ["id"] + head
             fh.write("\t".join(head) + "\n")
-        for start in range(0, m.n_rows, _WRITE_BLOCK):
-            rows = m.values[start:start + _WRITE_BLOCK].tolist()
-            if m.row_labels is None:
-                fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
-            else:
-                labels = m.row_labels[start:start + _WRITE_BLOCK]
-                fh.writelines(
-                    "\t".join([label, *map(repr, row)]) + "\n"
-                    for label, row in zip(labels, rows)
-                )
+        parts, pids = [], []
+        try:
+            folder = os.path.dirname(os.path.abspath(path))
+            for _ in range(w - 1):
+                parts.append(tempfile.TemporaryFile(dir=folder))
+            for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
+                pids.append(_fork_writer(m, lo, hi, part))
+            _write_rows(m, 0, bounds[1], fh)
+            fh.flush()
+            for part in parts:
+                code = _reap(pids[0])
+                del pids[0]
+                if code:
+                    raise OSError(code, os.strerror(code), path)
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+        finally:
+            for pid in pids:   # only after a failure: stop the rest unfinished
+                os.kill(pid, signal.SIGKILL)
+                _reap(pid)
+            for part in parts:
+                part.close()
+
+
+def _writers(n_rows: int) -> int:
+    """Writer processes for a matrix of `n_rows`: one per usable CPU, at most
+    `_MAX_WRITERS` and at most one per `_WRITE_BLOCK` rows; one without
+    `os.fork`."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WRITERS, n_rows // _WRITE_BLOCK))
+
+
+def _write_rows(m: DenseMatrix, lo: int, hi: int, fh) -> None:
+    """Render rows lo..hi-1 to the text file `fh`, one block at a time."""
+    for start in range(lo, hi, _WRITE_BLOCK):
+        stop = min(start + _WRITE_BLOCK, hi)
+        rows = m.values[start:stop].tolist()
+        if m.row_labels is None:
+            fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
+        else:
+            fh.writelines(
+                "\t".join([label, *map(repr, row)]) + "\n"
+                for label, row in zip(m.row_labels[start:stop], rows)
+            )
+
+
+def _fork_writer(m: DenseMatrix, lo: int, hi: int, part) -> int:
+    """Fork a process that renders rows lo..hi-1 into the binary file `part`
+    and exits with 0, with the errno of the OSError that stopped it, or with
+    EIO after any other error."""
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork when other threads run, such as a BLAS
+        # pool; the writer takes no lock they hold, and an error raised here
+        # would lose the pid of a child that was already forked
+        warnings.filterwarnings("ignore", ".*use of fork\\(\\) may lead to deadlocks",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = errno.EIO
+    try:
+        with open(part.fileno(), "w", closefd=False) as out:
+            _write_rows(m, lo, hi, out)
+        code = 0
+    except OSError as exc:
+        code = exc.errno or errno.EIO
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)   # never unwind into the parent's frames
+
+
+def _reap(pid: int) -> int:
+    """Wait for a writer; its exit code, or EIO if a signal ended it."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code if code >= 0 else errno.EIO
 
 
 def _numeric(s: str) -> bool:

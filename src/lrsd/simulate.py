@@ -8,6 +8,7 @@ i.i.d. Gaussian noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,10 +34,12 @@ class PatternSpec:
             raise ValueError(f"pattern_id must be 1..4, got {self.pattern_id}")
         if not 0.0 <= self.sparse_prob <= 1.0:
             raise ValueError("sparse_prob must be a probability")
-        if self.signal_divisor < 1.0:
-            raise ValueError("signal_divisor must be >= 1")
+        if not 1.0 <= self.signal_divisor < math.inf:
+            raise ValueError(f"signal_divisor must be finite and >= 1, got {self.signal_divisor}")
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
+import errno
 import hashlib
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
+from lrsd import matrix
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, read_tsv, write_tsv
 from lrsd.metrics import score
@@ -39,6 +42,24 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--pattern", "9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("case", ["divisor", "nan divisor", "inf divisor", "seed", "out"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        out, _ = _unwritable_out(tmp_path, "out")
+        flags, err = {
+            "divisor": (["--divisor", "0.5"],
+                        "error: signal_divisor must be finite and >= 1, got 0.5\n"),
+            "nan divisor": (["--divisor", "nan"],
+                            "error: signal_divisor must be finite and >= 1, got nan\n"),
+            "inf divisor": (["--divisor", "inf"],
+                            "error: signal_divisor must be finite and >= 1, got inf\n"),
+            "seed": (["--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+            "out": (["--out", str(out)], f"error: cannot write {out}: {os.strerror(errno.ENOTDIR)}\n"),
+        }[case]
+        rc = main(["simulate", "--pattern", "1", "--out", str(tmp_path / "sim"), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (err, "")
 
 
 class TestDecompose:
@@ -100,6 +121,17 @@ class TestDecompose:
         assert "rule" in mani["alpha"]
         assert "sigma_hat" in mani
         assert float(mani["duration_s"]) >= 0
+        _assert_stage_times(mani, ["read", "solve", "write"])
+
+
+def _assert_stage_times(mani, stages):
+    """One time_<stage>_s per stage, in run order, each at most duration_s."""
+    times = [key for key in mani if key.startswith("time_")]
+    assert times == [f"time_{stage}_s" for stage in stages]
+    assert list(mani)[-1] == "duration_s"
+    for key in times:
+        assert mani[key] == f"{float(mani[key]):.3f}"
+        assert 0 <= float(mani[key]) <= float(mani["duration_s"])
 
 
 SMALL = np.array([
@@ -302,8 +334,19 @@ GOLDEN_SHA256 = {
 }
 
 
+def _force_writers(monkeypatch, workers=4, block=16):
+    """Make every write_tsv call fork, whatever the CPU count and row count."""
+    monkeypatch.setattr(matrix, "_WRITE_BLOCK", block)
+    monkeypatch.setattr(matrix, "_writers", lambda n_rows: workers)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestAnalyze:
-    def test_golden_outputs(self, tmp_path, capsys):
+    def _check_golden(self, tmp_path, capsys):
         mani = _golden_manifest(tmp_path)
         rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4",
                    "--out", str(tmp_path / "out")])
@@ -313,11 +356,54 @@ class TestAnalyze:
         )
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
         assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
+        _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in GOLDEN_SHA256
         }
         assert digests == GOLDEN_SHA256
+        assert sorted(os.listdir(tmp_path / "out")) == sorted([*GOLDEN_SHA256, "manifest.txt"])
+
+    def test_golden_outputs(self, tmp_path, capsys):
+        self._check_golden(tmp_path, capsys)
+
+    def test_golden_outputs_forked_writers(self, tmp_path, capsys, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        _force_writers(monkeypatch)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        self._check_golden(tmp_path, capsys)
+        assert len(forks) == 4 * 3   # z, mask, X and E, three forked shares each
+        _assert_no_child_left()
+
+    def test_writer_failure_names_the_file(self, tmp_path, capsys, monkeypatch):
+        render = matrix._write_rows
+
+        def disk_full_after_first_share(m, lo, hi, fh):
+            if lo > 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            render(m, lo, hi, fh)
+
+        _force_writers(monkeypatch)
+        monkeypatch.setattr(matrix, "_write_rows", disk_full_after_first_share)
+        with pytest.raises(OSError) as exc:
+            write_tsv(DenseMatrix(np.ones((40, 3))), tmp_path / "m.tsv")
+        assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, tmp_path / "m.tsv")
+        _assert_no_child_left()
+
+        mani = _golden_manifest(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'z.tsv'}: {os.strerror(errno.ENOSPC)}\n")
+        assert os.listdir(out) == ["z.tsv"]   # no temporary share file is left
+        _assert_no_child_left()
 
     def test_toy_pipeline(self, tmp_path):
         mani = _toy_manifest(tmp_path)
@@ -331,6 +417,7 @@ class TestAnalyze:
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
         assert run["n_studies"] == "3"
         assert float(run["duration_s"]) >= 0
+        _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
         emb = (tmp_path / "out" / "embedding.tsv")
         if emb.exists():
             assert len(emb.read_text().splitlines()) == 4   # header + 3 studies

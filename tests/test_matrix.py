@@ -1,4 +1,7 @@
+import errno
+import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -143,6 +146,92 @@ def test_write_tsv_blocks_match_reference(tmp_path):
     write_tsv(m, tmp_path / "new.tsv")
     _write_tsv_reference(m, tmp_path / "ref.tsv")
     assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+@st.composite
+def shared_writes(draw):
+    """A matrix around a small `_WRITE_BLOCK`, and a forced writer count."""
+    block = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.sampled_from([0, 1, block - 1, block, block + 1]),
+                       st.integers(0, 6 * block)))
+    elements = st.one_of(finite, st.sampled_from([-0.0, 5e-324, -2.5e-320, 0.30000000000000004,
+                                                  -1.2345678901234567e-89]))
+    values = draw(arrays(float, (n, draw(st.integers(1, 4))), elements=elements))
+    rows = tuple(f"rs{i}" for i in range(n)) if draw(st.booleans()) else None
+    cols = tuple(f"s{j}" for j in range(values.shape[1])) if draw(st.booleans()) else None
+    return DenseMatrix(values, row_labels=rows, col_labels=cols), block, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_writes())
+def test_write_tsv_shares_match_reference_bytes(tmp_path_factory, case):
+    # the per-entry reference renders every row in one share, as a single
+    # `_write_rows` call does (test_write_tsv_matches_reference_bytes)
+    m, block, workers = case
+    d = tmp_path_factory.mktemp("ws")
+    with mock.patch.object(matrix, "_WRITE_BLOCK", block), \
+            mock.patch.object(matrix, "_writers", lambda n_rows: workers):
+        write_tsv(m, d / "new.tsv")
+    _write_tsv_reference(m, d / "ref.tsv")
+    assert (d / "new.tsv").read_bytes() == (d / "ref.tsv").read_bytes()
+    assert sorted(os.listdir(d)) == ["new.tsv", "ref.tsv"]
+
+
+@pytest.mark.parametrize("cpus, rows, workers", [
+    (2, 0, 1), (2, 4095, 1), (2, 8191, 1), (2, 8192, 2), (2, 10 ** 6, 2),
+    (3, 3 * 4096 - 1, 2), (16, 10 ** 6, 8), (1, 10 ** 6, 1),
+])
+def test_writer_count_rule(monkeypatch, cpus, rows, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert matrix._writers(rows) == workers
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert matrix._writers(rows) == workers
+    monkeypatch.delattr(os, "fork")
+    assert matrix._writers(rows) == 1
+
+
+@pytest.mark.parametrize("fault", ["first share fails", "second fork fails", "fork warns"])
+def test_write_tsv_cleans_up(tmp_path, monkeypatch, fault):
+    """Every forked writer is reaped and no share file is left, also when this
+    process fails, and Python >= 3.12's fork warning under threads is not an
+    error that would lose a forked child."""
+    fork, render = os.fork, matrix._write_rows
+    forks = []
+
+    def faulty_fork():
+        forks.append(1)
+        if fault == "second fork fails" and len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        if pid and fault == "fork warns":
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    def failing_first_share(m, lo, hi, fh):
+        if lo == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        render(m, lo, hi, fh)
+
+    monkeypatch.setattr(matrix, "_WRITE_BLOCK", 4)
+    monkeypatch.setattr(matrix, "_writers", lambda n_rows: 4)
+    monkeypatch.setattr(os, "fork", faulty_fork)
+    if fault == "first share fails":
+        monkeypatch.setattr(matrix, "_write_rows", failing_first_share)
+    m = DenseMatrix(np.arange(60.0).reshape(20, 3) / 7)
+    if fault == "fork warns":
+        write_tsv(m, tmp_path / "m.tsv")
+        _write_tsv_reference(m, tmp_path / "ref.tsv")
+        assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+    else:
+        with pytest.raises(OSError):
+            write_tsv(m, tmp_path / "m.tsv")
+    assert len(forks) == (2 if fault == "second fork fails" else 3)
+    assert sorted(os.listdir(tmp_path)) == (["m.tsv", "ref.tsv"] if fault == "fork warns"
+                                            else ["m.tsv"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_read_edge_floats_exact(tmp_path):
