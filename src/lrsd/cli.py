@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
-from .reporting import embed_studies, extract_snps, write_embedding_tsv, write_snp_report
+from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
 from .solver import (
     DegenerateInputError,
@@ -150,13 +150,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    try:  # bad flag values fail before --out is touched
+        grid = benchmark_grid(args.seed) if args.benchmark else None
+        if args.threshold is not None and not args.threshold >= 0:  # NaN fails too
+            raise ValueError(f"threshold must be >= 0, got {args.threshold!r}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.out:
         try:  # an unwritable --out fails before the work, not after it
             open(args.out, "w").close()
         except OSError as exc:
             return _cannot_write(exc, args.out)
     if args.benchmark:
-        rows = benchmark(benchmark_grid(args.seed), args.seeds)
+        rows = benchmark(grid, args.seeds)
         if args.out:
             write_benchmark_tsv(rows, args.out)
         for r in rows:
@@ -257,8 +264,9 @@ def cmd_analyze(args) -> int:
             write_embedding_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
         else:
             print("note: recovered low-rank component is zero; no embedding written")
-        report = extract_snps(result, T)
-        write_snp_report(report, out / "shared.tsv", out / "specific.tsv")
+        n_shared, n_specific = write_snp_report(
+            result, out / "shared.tsv", out / "specific.tsv", T
+        )
         stages.lap("report")
         manifest = dict(
             subcommand="analyze",
@@ -274,6 +282,8 @@ def cmd_analyze(args) -> int:
             converged=result.converged,
             rank_of_X=result.rank_of_X,
             nnz_of_E=result.nnz_of_E,
+            n_shared_rows=n_shared,
+            n_specific_entries=n_specific,
             **stages.manifest(),
         )
         _write_manifest(out / "manifest.txt", manifest)
@@ -281,8 +291,8 @@ def cmd_analyze(args) -> int:
         return _cannot_write(exc, out)
     print(
         f"{len(panel.snp_ids)} SNPs x {len(panel.study_names)} studies; "
-        f"rank(X) {result.rank_of_X}, {len(report.shared)} shared rows, "
-        f"{len(report.specific)} specific entries; {manifest['duration_s']}s"
+        f"rank(X) {result.rank_of_X}, {n_shared} shared rows, "
+        f"{n_specific} specific entries; {manifest['duration_s']}s"
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--threshold", type=float, default=None)
     p_eval.add_argument("--benchmark", action="store_true",
                         help="run the full 4-pattern x 3-divisor benchmark")
-    p_eval.add_argument("--seeds", type=int, default=20)
+    p_eval.add_argument("--seeds", type=_positive_int, default=20)
     p_eval.add_argument("--seed", type=int, default=0, help="first seed of the sweep")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_evaluate)

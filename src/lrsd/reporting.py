@@ -1,4 +1,4 @@
-"""Post-decomposition reporting: study embeddings and SNP extraction."""
+"""Post-decomposition reporting: study embeddings and the shared/specific SNP reports."""
 
 from __future__ import annotations
 
@@ -10,34 +10,14 @@ import numpy as np
 from .matrix import DenseMatrix, as_array
 from .solver import SolverResult, numerical_rank
 
+_REPORT_BLOCK = 4096  # shared rows formatted per block
+
 
 @dataclass(frozen=True)
 class StudyEmbedding:
     study_names: tuple[str, ...] | None
     coordinates: np.ndarray      # (n_studies, r), columns scaled by singular value
     singular_values: np.ndarray  # leading r singular values of X_hat
-
-
-@dataclass(frozen=True)
-class SharedSnp:
-    snp_id: str
-    studies: tuple[str, ...]     # studies where |X| exceeds the threshold
-    magnitudes: tuple[float, ...]
-    max_magnitude: float
-
-
-@dataclass(frozen=True)
-class SpecificSnp:
-    snp_id: str
-    study: str
-    value: float
-
-
-@dataclass(frozen=True)
-class SnpReport:
-    shared: tuple[SharedSnp, ...]
-    specific: tuple[SpecificSnp, ...]
-    threshold: float
 
 
 def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
@@ -85,48 +65,6 @@ def _labels(mat: DenseMatrix, axis: int, prefix: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(mat.shape[axis]))
 
 
-def extract_snps(result: SolverResult, T: float) -> SnpReport:
-    """Shared and study-specific SNP calls above a magnitude threshold.
-
-    Shared calls come from rows of the low-rank component whose largest
-    absolute entry exceeds T; specific calls are individual sparse-component
-    entries exceeding T. Both lists are sorted by descending magnitude.
-    """
-    if T < 0:
-        raise ValueError("threshold must be >= 0")
-    X, E = result.X_hat, result.E_hat
-    snp_ids = _labels(X, 0, "row")
-    studies = _labels(X, 1, "col")
-
-    absX = np.abs(X.values)
-    row_max = absX.max(axis=1)
-    rows = np.flatnonzero(row_max > T)
-    rows = rows[np.argsort(-row_max[rows], kind="stable")]
-    shared = tuple(
-        SharedSnp(
-            snp_id=snp_ids[i],
-            studies=tuple(compress(studies, over)),
-            magnitudes=tuple(compress(row, over)),
-            max_magnitude=peak,
-        )
-        for i, row, over, peak in zip(
-            rows.tolist(),
-            X.values[rows].tolist(),
-            (absX[rows] > T).tolist(),
-            row_max[rows].tolist(),
-        )
-    )
-
-    ii, jj = np.nonzero(np.abs(E.values) > T)
-    values = E.values[ii, jj]
-    order = np.argsort(-np.abs(values), kind="stable")
-    specific = tuple(
-        SpecificSnp(snp_id=snp_ids[i], study=studies[j], value=v)
-        for i, j, v in zip(ii[order].tolist(), jj[order].tolist(), values[order].tolist())
-    )
-    return SnpReport(shared=shared, specific=specific, threshold=T)
-
-
 def write_embedding_tsv(embedding: StudyEmbedding, path) -> None:
     r = embedding.coordinates.shape[1]
     names = embedding.study_names or tuple(
@@ -138,15 +76,49 @@ def write_embedding_tsv(embedding: StudyEmbedding, path) -> None:
             fh.write("\t".join([name] + [repr(float(x)) for x in row]) + "\n")
 
 
-def write_snp_report(report: SnpReport, shared_path, specific_path) -> None:
+def write_snp_report(result: SolverResult, shared_path, specific_path, T: float) -> tuple[int, int]:
+    """Write the shared and study-specific SNP calls above a magnitude threshold.
+
+    `shared_path` gets one line per row of the low-rank component whose
+    largest absolute entry exceeds T, with the studies and values over T;
+    `specific_path` gets one line per sparse-component entry exceeding T.
+    Both are sorted by descending magnitude, ties in row-major order.
+    Returns the number of shared rows and of specific entries.
+    """
+    if not T >= 0:  # NaN fails too
+        raise ValueError(f"threshold must be >= 0, got {T!r}")
+    X, E = result.X_hat, result.E_hat
+    snp_ids = _labels(X, 0, "row")
+    studies = _labels(X, 1, "col")
+
+    absX = np.abs(X.values)
+    row_max = absX.max(axis=1)
+    rows = np.flatnonzero(row_max > T)
+    rows = rows[np.argsort(-row_max[rows], kind="stable")]
     with open(shared_path, "w") as fh:
         fh.write("snp\tmax_magnitude\tstudies\tmagnitudes\n")
-        # one %-format per row formats its magnitudes faster than one per value
-        fh.writelines(
-            f"{s.snp_id}\t{s.max_magnitude:.6g}\t{','.join(s.studies)}\t"
-            + ",".join(["%.6g"] * len(s.magnitudes)) % tuple(s.magnitudes) + "\n"
-            for s in report.shared
-        )
+        for lo in range(0, len(rows), _REPORT_BLOCK):  # bounds the Python floats held at once
+            block = rows[lo:lo + _REPORT_BLOCK]
+            for i, row, over, peak in zip(
+                block.tolist(),
+                X.values[block].tolist(),
+                (absX[block] > T).tolist(),
+                row_max[block].tolist(),
+            ):
+                magnitudes = tuple(compress(row, over))
+                # one %-format per row formats its magnitudes faster than one per value
+                fh.write(
+                    f"{snp_ids[i]}\t{peak:.6g}\t{','.join(compress(studies, over))}\t"
+                    + ",".join(["%.6g"] * len(magnitudes)) % magnitudes + "\n"
+                )
+
+    ii, jj = np.nonzero(np.abs(E.values) > T)
+    values = E.values[ii, jj]
+    order = np.argsort(-np.abs(values), kind="stable")
     with open(specific_path, "w") as fh:
         fh.write("snp\tstudy\tvalue\n")
-        fh.writelines(f"{s.snp_id}\t{s.study}\t{s.value:.6g}\n" for s in report.specific)
+        fh.writelines(
+            f"{snp_ids[i]}\t{studies[j]}\t{v:.6g}\n"
+            for i, j, v in zip(ii[order].tolist(), jj[order].tolist(), values[order].tolist())
+        )
+    return len(rows), len(values)

@@ -62,14 +62,19 @@ class SolverConfig:
     detection_threshold: float | str = "auto"
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        # `not 0 < v < inf` holds for NaN as well, so NaN is refused with the infinities
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(
+                f"alpha and beta must be finite and > 0, got alpha={self.alpha!r}, "
+                f"beta={self.beta!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
-        if self.detection_threshold != "auto" and self.detection_threshold < 0:
-            raise ValueError("detection_threshold must be >= 0 or 'auto'")
+        if not 0 < self.rel_tolerance < math.inf:
+            raise ValueError(f"rel_tolerance must be finite and > 0, got {self.rel_tolerance!r}")
+        T = self.detection_threshold
+        if T != "auto" and not 0 <= T < math.inf:
+            raise ValueError(f"detection_threshold must be finite and >= 0 or 'auto', got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -400,6 +405,6 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
 
 def detect(result: SolverResult, T: float) -> np.ndarray:
     """Boolean mask of entries reported as signal: |X| > T or |E| > T."""
-    if T < 0:
-        raise ValueError("detection threshold must be >= 0")
+    if not T >= 0:  # NaN fails too
+        raise ValueError(f"detection threshold must be >= 0, got {T!r}")
     return (np.abs(result.X_hat.values) > T) | (np.abs(result.E_hat.values) > T)

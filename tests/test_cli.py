@@ -101,6 +101,24 @@ class TestDecompose:
         assert captured.err.startswith(f"error: cannot write {named}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--beta", "nan", "alpha and beta"),
+        ("--alpha", "nan", "alpha and beta"),
+        ("--alpha", "inf", "alpha and beta"),
+        ("--tol", "nan", "rel_tolerance"),
+        ("--threshold", "nan", "detection_threshold"),
+    ])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value, named):
+        src = tmp_path / "m.tsv"
+        write_tsv(DenseMatrix(SMALL), src)
+        out = tmp_path / "o"
+        rc = main(["decompose", "--input", str(src), flag, value, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} must be finite")
+        assert captured.out == ""
+        assert not (out / "X.tsv").exists()
+
     def test_iteration_cap_exit_3_with_outputs(self, tmp_path):
         rng = np.random.default_rng(0)
         src = tmp_path / "d.tsv"
@@ -244,6 +262,28 @@ class TestEvaluate:
         assert rc == 2
         assert str(out) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--benchmark", "--seeds", "0"], "argument --seeds: expected an integer >= 1, got '0'"),
+        (["--benchmark", "--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+        (["--threshold", "-1"], "error: threshold must be >= 0, got -1.0\n"),
+        (["--threshold", "nan"], "error: threshold must be >= 0, got nan\n"),
+    ], ids=["seeds 0", "seed -1", "threshold -1", "threshold nan"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, flags, err):
+        write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
+        m = str(tmp_path / "m.tsv")
+        out = tmp_path / "rep.tsv"
+        argv = ["evaluate", *flags, "--out", str(out)]
+        if "--benchmark" not in flags:
+            argv += ["--x", m, "--e", m, "--truth", m]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:   # argparse rejects the flag itself
+            rc = exc.code
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert err in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_xe_without_threshold_or_input(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
         rc = main(["evaluate", "--x", str(tmp_path / "m.tsv"),
@@ -356,6 +396,7 @@ class TestAnalyze:
         )
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
         assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
+        assert (run["n_shared_rows"], run["n_specific_entries"]) == ("294", "78")
         _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
@@ -416,6 +457,9 @@ class TestAnalyze:
             assert (tmp_path / "out" / name).exists()
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
         assert run["n_studies"] == "3"
+        for key, name in (("n_shared_rows", "shared.tsv"), ("n_specific_entries", "specific.tsv")):
+            data_lines = len((tmp_path / "out" / name).read_text().splitlines()) - 1
+            assert run[key] == str(data_lines)
         assert float(run["duration_s"]) >= 0
         _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
         emb = (tmp_path / "out" / "embedding.tsv")

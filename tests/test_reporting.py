@@ -1,16 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lrsd import reporting
 from lrsd.matrix import DenseMatrix
 from lrsd.reporting import (
-    SharedSnp,
-    SnpReport,
-    SpecificSnp,
     embed_studies,
-    extract_snps,
     single_linkage_groups,
     write_embedding_tsv,
     write_snp_report,
@@ -93,53 +92,68 @@ def _result(X, E, row_labels=None, col_labels=None):
     )
 
 
+def _report(result, T, d):
+    """The data lines of both written reports, split on tabs; checks the returned counts."""
+    counts = write_snp_report(result, d / "shared.tsv", d / "specific.tsv", T)
+    shared, specific = (
+        [line.split("\t") for line in (d / name).read_text().splitlines()[1:]]
+        for name in ("shared.tsv", "specific.tsv")
+    )
+    assert counts == (len(shared), len(specific))
+    return shared, specific
+
+
 class TestExtractSnps:
-    def test_specific_only(self):
+    """The SNP calls that `write_snp_report` extracts, read back from its files."""
+
+    def test_specific_only(self, tmp_path):
         X = np.zeros((3, 2))
         E = np.zeros((3, 2))
         E[1, 1] = 7.2
         res = _result(X, E, row_labels=("rs1", "rs9", "rs3"), col_labels=("studyA", "studyB"))
-        rep = extract_snps(res, 3.0)
-        assert rep.shared == ()
-        assert len(rep.specific) == 1
-        s = rep.specific[0]
-        assert (s.snp_id, s.study, s.value) == ("rs9", "studyB", 7.2)
+        shared, specific = _report(res, 3.0, tmp_path)
+        assert shared == []
+        assert specific == [["rs9", "studyB", "7.2"]]
 
-    def test_all_zero_empty(self):
+    def test_all_zero_empty(self, tmp_path):
         res = _result(np.zeros((2, 2)), np.zeros((2, 2)))
-        rep = extract_snps(res, 0.0)
-        assert rep.shared == () and rep.specific == ()
+        counts = write_snp_report(res, tmp_path / "shared.tsv", tmp_path / "specific.tsv", 0.0)
+        assert counts == (0, 0)
+        assert (tmp_path / "shared.tsv").read_text() == "snp\tmax_magnitude\tstudies\tmagnitudes\n"
+        assert (tmp_path / "specific.tsv").read_text() == "snp\tstudy\tvalue\n"
 
-    def test_planted_shared_and_specific(self):
+    def test_planted_shared_and_specific(self, tmp_path):
         rows = ("rs1", "rs5", "rs7")
         cols = ("A", "B", "C")
         X = np.zeros((3, 3))
         X[1, 0] = X[1, 1] = 6.0    # rs5 shared over A,B
         E = np.zeros((3, 3))
         E[2, 2] = 6.0              # spike at (rs7, C)
-        rep = extract_snps(_result(X, E, rows, cols), 3.0)
-        assert [s.snp_id for s in rep.shared] == ["rs5"]
-        assert rep.shared[0].studies == ("A", "B")
-        assert [(_.snp_id, _.study) for _ in rep.specific] == [("rs7", "C")]
+        shared, specific = _report(_result(X, E, rows, cols), 3.0, tmp_path)
+        assert shared == [["rs5", "6", "A,B", "6,6"]]
+        assert specific == [["rs7", "C", "6"]]
 
-    def test_sorted_by_magnitude(self):
+    def test_sorted_by_magnitude(self, tmp_path):
         X = np.zeros((3, 2))
         X[0, 0], X[2, 0] = 4.0, -9.0
         E = np.zeros((3, 2))
         E[0, 1], E[1, 0] = -5.0, 8.0
-        rep = extract_snps(_result(X, E), 3.0)
-        assert [s.max_magnitude for s in rep.shared] == [9.0, 4.0]
-        assert [abs(s.value) for s in rep.specific] == [8.0, 5.0]
+        shared, specific = _report(_result(X, E), 3.0, tmp_path)
+        # unlabelled rows and columns are named row{i} and col{j}
+        assert [(s[0], float(s[1])) for s in shared] == [("row2", 9.0), ("row0", 4.0)]
+        assert specific == [["row1", "col0", "8"], ["row0", "col1", "-5"]]
 
-    def test_permutation_invariance(self):
+    def test_permutation_invariance(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 4)) * 3
         E = rng.normal(size=(6, 4)) * 3
         rows = tuple(f"rs{i}" for i in range(6))
         cols = tuple(f"st{j}" for j in range(4))
-        rep = extract_snps(_result(X, E, rows, cols), 2.0)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        shared, specific = _report(_result(X, E, rows, cols), 2.0, tmp_path / "a")
         pr, pc = rng.permutation(6), rng.permutation(4)
-        rep2 = extract_snps(
+        shared2, specific2 = _report(
             _result(
                 X[np.ix_(pr, pc)],
                 E[np.ix_(pr, pc)],
@@ -147,55 +161,62 @@ class TestExtractSnps:
                 tuple(cols[j] for j in pc),
             ),
             2.0,
+            tmp_path / "b",
         )
-        assert {(s.snp_id, frozenset(s.studies)) for s in rep.shared} == {
-            (s.snp_id, frozenset(s.studies)) for s in rep2.shared
+        assert shared  # the comparison below is not between two empty reports
+        assert {(s[0], frozenset(s[2].split(","))) for s in shared} == {
+            (s[0], frozenset(s[2].split(","))) for s in shared2
         }
-        assert {(s.snp_id, s.study, round(s.value, 9)) for s in rep.specific} == {
-            (s.snp_id, s.study, round(s.value, 9)) for s in rep2.specific
-        }
+        assert {tuple(s) for s in specific} == {tuple(s) for s in specific2}
 
-    def test_negative_threshold(self):
+    def test_negative_threshold(self, tmp_path):
         res = _result(np.zeros((1, 1)), np.zeros((1, 1)))
-        with pytest.raises(ValueError):
-            extract_snps(res, -1.0)
+        for T in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                write_snp_report(res, tmp_path / "shared.tsv", tmp_path / "specific.tsv", T)
+            assert list(tmp_path.iterdir()) == []   # raised before either file exists
 
 
 def _extract_reference(result, T):
-    """The per-row loop that `extract_snps` replaced, kept as its oracle."""
+    """The per-row loop of the former `extract_snps`, kept as the report's oracle.
+
+    Returns shared calls as (snp, studies, magnitudes, max magnitude) and
+    specific calls as (snp, study, value), each sorted by magnitude.
+    """
     X, E = result.X_hat, result.E_hat
-    snp_ids, studies = X.row_labels, X.col_labels
+    snp_ids = X.row_labels or tuple(f"row{i}" for i in range(X.shape[0]))
+    studies = X.col_labels or tuple(f"col{j}" for j in range(X.shape[1]))
     shared = []
     absX = np.abs(X.values)
     for i in np.where(absX.max(axis=1) > T)[0]:
         cols = np.where(absX[i] > T)[0]
-        shared.append(SharedSnp(
-            snp_id=snp_ids[i],
-            studies=tuple(studies[j] for j in cols),
-            magnitudes=tuple(float(X.values[i, j]) for j in cols),
-            max_magnitude=float(absX[i].max()),
+        shared.append((
+            snp_ids[i],
+            tuple(studies[j] for j in cols),
+            tuple(float(X.values[i, j]) for j in cols),
+            float(absX[i].max()),
         ))
-    shared.sort(key=lambda s: -s.max_magnitude)
+    shared.sort(key=lambda s: -s[3])
     specific = [
-        SpecificSnp(snp_id=snp_ids[i], study=studies[j], value=float(E.values[i, j]))
+        (snp_ids[i], studies[j], float(E.values[i, j]))
         for i, j in zip(*np.where(np.abs(E.values) > T))
     ]
-    specific.sort(key=lambda s: -abs(s.value))
-    return SnpReport(shared=tuple(shared), specific=tuple(specific), threshold=T)
+    specific.sort(key=lambda s: -abs(s[2]))
+    return shared, specific
 
 
-def _write_report_reference(report, shared_path, specific_path):
+def _write_report_reference(shared, specific, shared_path, specific_path):
     with open(shared_path, "w") as fh:
         fh.write("snp\tmax_magnitude\tstudies\tmagnitudes\n")
-        for s in report.shared:
+        for snp, studies, magnitudes, peak in shared:
             fh.write(
-                f"{s.snp_id}\t{s.max_magnitude:.6g}\t"
-                f"{','.join(s.studies)}\t{','.join(f'{m:.6g}' for m in s.magnitudes)}\n"
+                f"{snp}\t{peak:.6g}\t"
+                f"{','.join(studies)}\t{','.join(f'{m:.6g}' for m in magnitudes)}\n"
             )
     with open(specific_path, "w") as fh:
         fh.write("snp\tstudy\tvalue\n")
-        for s in report.specific:
-            fh.write(f"{s.snp_id}\t{s.study}\t{s.value:.6g}\n")
+        for snp, study, value in specific:
+            fh.write(f"{snp}\t{study}\t{value:.6g}\n")
 
 
 # few distinct magnitudes, so that equal row maxima and equal |E| entries
@@ -208,17 +229,20 @@ tied = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0, 1e-300, 7.25
     arrays(float, st.tuples(st.integers(1, 15), st.integers(1, 5)), elements=tied),
     arrays(float, st.tuples(st.integers(1, 15), st.integers(1, 5)), elements=tied),
     st.sampled_from([0.0, 1.0, 2.5, 2.9]),
+    st.booleans(),
+    st.integers(1, 16),   # shared rows per formatting block
 )
-def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T):
+def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T, labelled, block):
     E = np.resize(E, X.shape)
-    rows = tuple(f"rs{i}" for i in range(X.shape[0]))
-    cols = tuple(f"s{j}" for j in range(X.shape[1]))
+    rows = tuple(f"rs{i}" for i in range(X.shape[0])) if labelled else None
+    cols = tuple(f"s{j}" for j in range(X.shape[1])) if labelled else None
     result = _result(X, E, rows, cols)
-    got, want = extract_snps(result, T), _extract_reference(result, T)
-    assert got == want
     d = tmp_path_factory.mktemp("rep")
-    write_snp_report(got, d / "shared.tsv", d / "specific.tsv")
-    _write_report_reference(want, d / "shared_ref.tsv", d / "specific_ref.tsv")
+    with mock.patch.object(reporting, "_REPORT_BLOCK", block):
+        counts = write_snp_report(result, d / "shared.tsv", d / "specific.tsv", T)
+    shared, specific = _extract_reference(result, T)
+    _write_report_reference(shared, specific, d / "shared_ref.tsv", d / "specific_ref.tsv")
+    assert counts == (len(shared), len(specific))
     assert (d / "shared.tsv").read_bytes() == (d / "shared_ref.tsv").read_bytes()
     assert (d / "specific.tsv").read_bytes() == (d / "specific_ref.tsv").read_bytes()
 
@@ -229,8 +253,7 @@ def test_writers(tmp_path):
     E = np.zeros((2, 2))
     E[1, 1] = -4.0
     res = _result(X, E, ("rs1", "rs2"), ("a", "b"))
-    rep = extract_snps(res, 1.0)
-    write_snp_report(rep, tmp_path / "shared.tsv", tmp_path / "specific.tsv")
+    assert write_snp_report(res, tmp_path / "shared.tsv", tmp_path / "specific.tsv", 1.0) == (1, 1)
     assert (tmp_path / "shared.tsv").read_text().splitlines()[1].startswith("rs1\t5")
     assert (tmp_path / "specific.tsv").read_text().splitlines()[1].startswith("rs2\tb\t-4")
 

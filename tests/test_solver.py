@@ -232,6 +232,21 @@ class TestSolverConfig:
             SolverConfig(alpha=1.0, beta=1.0, rel_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha=1.0, beta=1.0, detection_threshold=-1.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(alpha=nan, beta=1.0),
+            dict(alpha=inf, beta=1.0),
+            dict(alpha=1.0, beta=nan),
+            dict(alpha=1.0, beta=inf),
+            dict(alpha=1.0, beta=-1.0),
+            dict(alpha=1.0, beta=1.0, rel_tolerance=nan),
+            dict(alpha=1.0, beta=1.0, rel_tolerance=inf),
+            dict(alpha=1.0, beta=1.0, detection_threshold=nan),
+            dict(alpha=1.0, beta=1.0, detection_threshold=inf),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**bad)
+        assert SolverConfig(alpha=1.0, beta=1.0, detection_threshold=0.0).detection_threshold == 0
 
 
 class TestSolve:
@@ -462,8 +477,9 @@ class TestDetect:
 
     def test_negative_threshold(self):
         res = solve(np.zeros((2, 2)), SolverConfig(alpha=1.0, beta=1.0))
-        with pytest.raises(ValueError):
-            detect(res, -1.0)
+        for T in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="threshold must be >= 0"):
+                detect(res, T)
 
 
 @pytest.mark.parametrize(
