@@ -237,15 +237,7 @@ def cmd_analyze(args) -> int:
     del studies  # the parsed records are a run's largest objects; the panel holds what is used
     stages.lap("align")
 
-    out = Path(args.out)
-    try:  # an unwritable --out fails before the solve, not after it
-        out.mkdir(parents=True, exist_ok=True)
-        write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
-    except OSError as exc:
-        return _cannot_write(exc, out)
-    stages.lap("write")
-
-    try:
+    try:  # bad parameters fail before --out is touched
         alpha, beta, T, resolved = resolve_params(
             panel.z_matrix, args.alpha, args.beta, args.threshold
         )
@@ -253,6 +245,15 @@ def cmd_analyze(args) -> int:
     except (DegenerateInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    stages.lap("solve")
+
+    out = Path(args.out)
+    try:  # an unwritable --out fails before the solve, not after it
+        out.mkdir(parents=True, exist_ok=True)
+        write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
+    except OSError as exc:
+        return _cannot_write(exc, out)
+    stages.lap("write")
     result = solve(panel.z_matrix, config)
     stages.lap("solve")
     r = min(args.embed_rank, result.rank_of_X)

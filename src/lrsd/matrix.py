@@ -82,38 +82,41 @@ def write_tsv(m: DenseMatrix, path) -> None:
     (`_writers`): this process writes the header and the first share, and
     each forked writer formats its share into a temporary file in the
     output's directory, which is appended in order. The bytes do not depend
-    on the number of writers.
+    on the number of writers. Any `OSError` names `path` as its filename.
     """
     w = _writers(m.n_rows)
     bounds = [m.n_rows * i // w for i in range(w + 1)]
-    with open(path, "w") as fh:
-        if m.col_labels is not None:
-            head = list(m.col_labels)
-            if m.row_labels is not None:
-                head = ["id"] + head
-            fh.write("\t".join(head) + "\n")
-        parts, pids = [], []
-        try:
-            folder = os.path.dirname(os.path.abspath(path))
-            for _ in range(w - 1):
-                parts.append(tempfile.TemporaryFile(dir=folder))
-            for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
-                pids.append(_fork_writer(m, lo, hi, part))
-            _write_rows(m, 0, bounds[1], fh)
-            fh.flush()
-            for part in parts:
-                code = _reap(pids[0])
-                del pids[0]
-                if code:
-                    raise OSError(code, os.strerror(code), path)
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)
-        finally:
-            for pid in pids:   # only after a failure: stop the rest unfinished
-                os.kill(pid, signal.SIGKILL)
-                _reap(pid)
-            for part in parts:
-                part.close()
+    try:
+        with open(path, "w") as fh:
+            if m.col_labels is not None:
+                head = list(m.col_labels)
+                if m.row_labels is not None:
+                    head = ["id"] + head
+                fh.write("\t".join(head) + "\n")
+            parts, pids = [], []
+            try:
+                folder = os.path.dirname(os.path.abspath(path))
+                for _ in range(w - 1):
+                    parts.append(tempfile.TemporaryFile(dir=folder))
+                for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
+                    pids.append(_fork_writer(m, lo, hi, part))
+                _write_rows(m, 0, bounds[1], fh)
+                fh.flush()
+                for part in parts:
+                    code = _reap(pids[0])
+                    del pids[0]
+                    if code:
+                        raise OSError(code, os.strerror(code))
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh.buffer)
+            finally:
+                for pid in pids:   # only after a failure: stop the rest unfinished
+                    os.kill(pid, signal.SIGKILL)
+                    _reap(pid)
+                for part in parts:
+                    part.close()
+    except OSError as exc:   # name the file, whichever process failed
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _writers(n_rows: int) -> int:

@@ -14,30 +14,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import DenseMatrix, read_tsv, write_tsv
+from .matrix import DenseMatrix, write_tsv
 
 N_ROWS, N_COLS = 100, 50
+BICLUSTER_SCALE = 50.0   # d, the Frobenius norm of each planted bicluster
+SPARSE_PROB = 0.01       # chance of a spike per entry (patterns 2 and 4)
+SPARSE_VALUE = 6.0       # height of a spike
+NOISE_SIGMA = 1.0        # standard deviation of the Gaussian noise
 
 
 @dataclass(frozen=True)
 class PatternSpec:
+    """What the benchmark varies: the planted pattern, the signal divisor and
+    the seed. Everything else is one of the constants above."""
+
     pattern_id: int
-    d: float = 50.0
-    sparse_prob: float = 0.01
-    sparse_value: float = 6.0
-    noise_sigma: float = 1.0
     signal_divisor: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.pattern_id not in (1, 2, 3, 4):
             raise ValueError(f"pattern_id must be 1..4, got {self.pattern_id}")
-        if not 0.0 <= self.sparse_prob <= 1.0:
-            raise ValueError("sparse_prob must be a probability")
         if not 1.0 <= self.signal_divisor < math.inf:
             raise ValueError(f"signal_divisor must be finite and >= 1, got {self.signal_divisor}")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -74,13 +73,13 @@ def factor_vectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(x / np.linalg.norm(x) for x in (u1, v1, u2, v2))
 
 
-def compute_snr(truth_signal, noise_sigma: float) -> float:
-    """Root-mean-square of the signal over its support, divided by sigma."""
+def compute_snr(truth_signal) -> float:
+    """Root-mean-square of the signal over its support, divided by NOISE_SIGMA."""
     a = truth_signal.values if isinstance(truth_signal, DenseMatrix) else np.asarray(truth_signal)
     support = a != 0
     if not support.any():
         raise ValueError("SNR is undefined for an all-zero signal")
-    return float(np.sqrt((a[support] ** 2).mean()) / noise_sigma)
+    return float(np.sqrt((a[support] ** 2).mean()) / NOISE_SIGMA)
 
 
 def generate(spec: PatternSpec) -> SimulatedInstance:
@@ -91,21 +90,21 @@ def generate(spec: PatternSpec) -> SimulatedInstance:
     with the same seed differ only by the sparse spikes.
     """
     u1, v1, u2, v2 = factor_vectors()
-    M = spec.d * np.outer(u1, v1)
+    M = BICLUSTER_SCALE * np.outer(u1, v1)
     if spec.pattern_id >= 3:
-        M = M + spec.d * np.outer(u2, v2)
+        M = M + BICLUSTER_SCALE * np.outer(u2, v2)
 
     ss = np.random.SeedSequence(spec.seed)
     rng_sparse, rng_perm, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
     if spec.pattern_id in (2, 4):
-        spikes = rng_sparse.random((N_ROWS, N_COLS)) < spec.sparse_prob
-        M = M + spec.sparse_value * spikes
+        spikes = rng_sparse.random((N_ROWS, N_COLS)) < SPARSE_PROB
+        M = M + SPARSE_VALUE * spikes
 
     M = M / spec.signal_divisor
     row_perm = rng_perm.permutation(N_ROWS)
     col_perm = rng_perm.permutation(N_COLS)
     M = M[np.ix_(row_perm, col_perm)]
-    noise = rng_noise.normal(0.0, spec.noise_sigma, M.shape)
+    noise = rng_noise.normal(0.0, NOISE_SIGMA, M.shape)
 
     return SimulatedInstance(
         data=DenseMatrix(M + noise),
@@ -113,7 +112,7 @@ def generate(spec: PatternSpec) -> SimulatedInstance:
         truth_mask=M != 0,
         row_perm=row_perm,
         col_perm=col_perm,
-        snr=compute_snr(M, spec.noise_sigma),
+        snr=compute_snr(M),
         spec=spec,
     )
 
@@ -127,10 +126,10 @@ def save_instance(inst: SimulatedInstance, outdir) -> None:
     spec = inst.spec
     meta = {
         "pattern": spec.pattern_id,
-        "d": spec.d,
-        "sparse_prob": spec.sparse_prob,
-        "sparse_value": spec.sparse_value,
-        "noise_sigma": spec.noise_sigma,
+        "d": BICLUSTER_SCALE,
+        "sparse_prob": SPARSE_PROB,
+        "sparse_value": SPARSE_VALUE,
+        "noise_sigma": NOISE_SIGMA,
         "divisor": spec.signal_divisor,
         "seed": spec.seed,
         "snr": inst.snr,
@@ -140,30 +139,3 @@ def save_instance(inst: SimulatedInstance, outdir) -> None:
     with open(out / "meta.txt", "w") as fh:
         for key, value in meta.items():
             fh.write(f"{key}={value}\n")
-
-
-def load_instance(indir) -> SimulatedInstance:
-    src = Path(indir)
-    meta = {}
-    with open(src / "meta.txt") as fh:
-        for line in fh:
-            key, _, value = line.rstrip("\n").partition("=")
-            meta[key] = value
-    spec = PatternSpec(
-        pattern_id=int(meta["pattern"]),
-        d=float(meta["d"]),
-        sparse_prob=float(meta["sparse_prob"]),
-        sparse_value=float(meta["sparse_value"]),
-        noise_sigma=float(meta["noise_sigma"]),
-        signal_divisor=float(meta["divisor"]),
-        seed=int(meta["seed"]),
-    )
-    return SimulatedInstance(
-        data=read_tsv(src / "data.tsv"),
-        truth_signal=read_tsv(src / "truth.tsv"),
-        truth_mask=read_tsv(src / "mask.tsv").values.astype(bool),
-        row_perm=np.array([int(x) for x in meta["row_perm"].split(",")]),
-        col_perm=np.array([int(x) for x in meta["col_perm"].split(",")]),
-        snr=float(meta["snr"]),
-        spec=spec,
-    )

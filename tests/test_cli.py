@@ -397,7 +397,7 @@ class TestAnalyze:
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
         assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
         assert (run["n_shared_rows"], run["n_specific_entries"]) == ("294", "78")
-        _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
+        _assert_stage_times(run, ["parse", "align", "solve", "write", "report"])
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in GOLDEN_SHA256
@@ -446,6 +446,41 @@ class TestAnalyze:
         assert os.listdir(out) == ["z.tsv"]   # no temporary share file is left
         _assert_no_child_left()
 
+    def test_first_share_failure_names_the_file(self, tmp_path, capsys, monkeypatch):
+        render = matrix._write_rows
+
+        def disk_full_in_first_share(m, lo, hi, fh):
+            if lo == 0:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            render(m, lo, hi, fh)
+
+        _force_writers(monkeypatch)
+        monkeypatch.setattr(matrix, "_write_rows", disk_full_in_first_share)
+        mani = _golden_manifest(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'z.tsv'}: {os.strerror(errno.ENOSPC)}\n")
+        assert os.listdir(out) == ["z.tsv"]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--alpha", "nan", "alpha and beta"),
+        ("--beta", "inf", "alpha and beta"),
+        ("--threshold", "nan", "detection_threshold"),
+    ])
+    def test_non_finite_parameter_writes_nothing(self, tmp_path, capsys, flag, value, named):
+        mani = _golden_manifest(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} must be finite")
+        assert captured.out == ""
+        assert not out.exists()   # no z.tsv, nor anything else
+
     def test_toy_pipeline(self, tmp_path):
         mani = _toy_manifest(tmp_path)
         rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "2",
@@ -461,7 +496,7 @@ class TestAnalyze:
             data_lines = len((tmp_path / "out" / name).read_text().splitlines()) - 1
             assert run[key] == str(data_lines)
         assert float(run["duration_s"]) >= 0
-        _assert_stage_times(run, ["parse", "align", "write", "solve", "report"])
+        _assert_stage_times(run, ["parse", "align", "solve", "write", "report"])
         emb = (tmp_path / "out" / "embedding.tsv")
         if emb.exists():
             assert len(emb.read_text().splitlines()) == 4   # header + 3 studies

@@ -225,8 +225,10 @@ def test_write_tsv_cleans_up(tmp_path, monkeypatch, fault):
         _write_tsv_reference(m, tmp_path / "ref.tsv")
         assert (tmp_path / "m.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
     else:
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as exc:
             write_tsv(m, tmp_path / "m.tsv")
+        code = errno.ENOSPC if fault == "first share fails" else errno.EAGAIN
+        assert (exc.value.errno, exc.value.filename) == (code, tmp_path / "m.tsv")
     assert len(forks) == (2 if fault == "second fork fails" else 3)
     assert sorted(os.listdir(tmp_path)) == (["m.tsv", "ref.tsv"] if fault == "fork warns"
                                             else ["m.tsv"])

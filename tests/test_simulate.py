@@ -1,14 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from lrsd.simulate import (
-    PatternSpec,
-    compute_snr,
-    factor_vectors,
-    generate,
-    load_instance,
-    save_instance,
-)
+from lrsd.matrix import read_tsv
+from lrsd.simulate import PatternSpec, compute_snr, factor_vectors, generate, save_instance
 
 
 class TestFactorVectors:
@@ -35,23 +32,48 @@ class TestComputeSnr:
     def test_constant_signal(self):
         sig = np.zeros((10, 10))
         sig[:3, :4] = 6.0
-        assert compute_snr(sig, 1.0) == pytest.approx(6.0)
+        assert compute_snr(sig) == pytest.approx(6.0)
 
     def test_pattern1_exact(self):
         u1, v1, _, _ = factor_vectors()
         sig = 50.0 * np.outer(u1, v1)
         # Frobenius norm 50 over a 25x16 support
-        assert compute_snr(sig, 1.0) == pytest.approx(np.sqrt(2500 / 400), abs=1e-12)
+        assert compute_snr(sig) == pytest.approx(np.sqrt(2500 / 400), abs=1e-12)
 
     def test_all_zero_errors(self):
         with pytest.raises(ValueError):
-            compute_snr(np.zeros((3, 3)), 1.0)
+            compute_snr(np.zeros((3, 3)))
+
+
+# sha256 of data and truth_signal bytes at divisor 1.2, seed 3, recorded
+# when the fixed simulation values were still PatternSpec fields
+GOLDEN_SHA256 = {
+    1: ("9d9c04575263d9c8d105323dd40adc4344e243a6a1fafa8e8b8f86829731e36a",
+        "6e3f00f06ed3ce295cf6ae8cc0397d7851a5e363a15ee959bb4daf32169ddd77"),
+    2: ("af9fffd9ef45cee59d5d67018f7e3d8194c5907f6b32bce38e11cea7ac1d3be1",
+        "0a912beeec4f16bd60b3614719afbbaffcff556bb953c0ccc0fb0fff6e1f9030"),
+    3: ("875faa3653338b2fc413917a4f748c6c62158edaed0ca0fdbb0fea253750756b",
+        "cd0cb9d7265c3ffd26025da762f78a3cbf420a1ad1eff43aaf23f73c0964a673"),
+    4: ("9b2ec2b35ea61f7bde6fb2e0207b590a835b831c73d91de3d66961d2a19a43d8",
+        "8bd7971f242ddd65abd64c902f6bc4d12711cec97d3cdb095dc56a4eedaeca18"),
+}
 
 
 class TestGenerate:
     def test_invalid_pattern(self):
         with pytest.raises(ValueError):
             PatternSpec(pattern_id=9)
+
+    def test_spec_holds_only_what_the_benchmark_varies(self):
+        names = [f.name for f in dataclasses.fields(PatternSpec)]
+        assert names == ["pattern_id", "signal_divisor", "seed"]
+
+    @pytest.mark.parametrize("pattern", [1, 2, 3, 4])
+    def test_golden_bytes(self, pattern):
+        inst = generate(PatternSpec(pattern, signal_divisor=1.2, seed=3))
+        digests = tuple(hashlib.sha256(m.values.tobytes()).hexdigest()
+                        for m in (inst.data, inst.truth_signal))
+        assert digests == GOLDEN_SHA256[pattern]
 
     def test_pattern1_support_and_snr(self):
         inst = generate(PatternSpec(1, seed=0))
@@ -116,11 +138,18 @@ class TestGenerate:
 def test_save_load_roundtrip(tmp_path):
     inst = generate(PatternSpec(4, seed=2, signal_divisor=1.5))
     save_instance(inst, tmp_path / "inst")
-    back = load_instance(tmp_path / "inst")
-    assert np.allclose(back.data.values, inst.data.values)
-    assert np.allclose(back.truth_signal.values, inst.truth_signal.values)
-    assert np.array_equal(back.truth_mask, inst.truth_mask)
-    assert np.array_equal(back.row_perm, inst.row_perm)
-    assert np.array_equal(back.col_perm, inst.col_perm)
-    assert back.snr == pytest.approx(inst.snr)
-    assert back.spec == inst.spec
+    assert read_tsv(tmp_path / "inst" / "data.tsv").values.tobytes() == inst.data.values.tobytes()
+    truth = read_tsv(tmp_path / "inst" / "truth.tsv").values
+    assert truth.tobytes() == inst.truth_signal.values.tobytes()
+    mask = read_tsv(tmp_path / "inst" / "mask.tsv").values
+    assert np.array_equal(mask.astype(bool), inst.truth_mask)
+    meta = dict(line.split("=", 1)
+                for line in (tmp_path / "inst" / "meta.txt").read_text().splitlines())
+    assert list(meta) == ["pattern", "d", "sparse_prob", "sparse_value", "noise_sigma",
+                          "divisor", "seed", "snr", "row_perm", "col_perm"]
+    assert np.array_equal(np.array(meta["row_perm"].split(","), dtype=int), inst.row_perm)
+    assert np.array_equal(np.array(meta["col_perm"].split(","), dtype=int), inst.col_perm)
+    assert float(meta["snr"]) == inst.snr
+    assert PatternSpec(int(meta["pattern"]), float(meta["divisor"]), int(meta["seed"])) == inst.spec
+    assert (meta["d"], meta["sparse_prob"], meta["sparse_value"], meta["noise_sigma"]) == (
+        "50.0", "0.01", "6.0", "1.0")
