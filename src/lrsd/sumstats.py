@@ -14,6 +14,7 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .matrix import DenseMatrix, write_tsv
 
@@ -43,8 +44,6 @@ class AlignedPanel:
 
 def p_to_z(p: float) -> float:
     """Two-sided z magnitude Phi^{-1}(1 - p/2), computed stably in the tail."""
-    from scipy import special
-
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p-value must be in (0, 1], got {p}")
     p = max(p, P_CLAMP)
@@ -53,8 +52,6 @@ def p_to_z(p: float) -> float:
 
 def z_to_p(z: float) -> float:
     """Inverse of p_to_z: two-sided p-value of a z magnitude."""
-    from scipy import special
-
     return float(2.0 * special.ndtr(-abs(z)))
 
 
@@ -152,8 +149,6 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
     Missing entries are imputed at p = 0.5 (z = 0 exactly) and flagged in
     imputed_mask. SNPs are ordered lexicographically for determinism.
     """
-    from scipy import special
-
     if not 1 <= k <= len(studies):
         raise ValueError(f"min coverage k={k} outside 1..{len(studies)}")
     coverage: Counter[str] = Counter()

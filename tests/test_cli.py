@@ -366,9 +366,9 @@ def _golden_manifest(tmp_path):
 GOLDEN_SHA256 = {
     "z.tsv": "8fda6600009a2cf0d4033f390b9d130e620fbf23467baed9c5d24713477352d3",
     "imputed_mask.tsv": "84a7ba4377fa1aac008368532de73eabd15d5e080719a08e77e6dfe9c02a2767",
-    "X.tsv": "40b44b7bf723757c8d60911f1c2e80b2f0ee134c6510f4a8766d1a6d4b013fa5",
-    "E.tsv": "c5b64952ec6d5d5d3372598f4842abd67630f257148b3f1aa62af148f7bdc365",
-    "embedding.tsv": "fbe54b3a260aed64e7cb5732205aed66ef264cca4280dd816c6af0608b748a75",
+    "X.tsv": "15eb23f5e2d8a68e8503d48d9482bfed7c7cf4a3bf52f1773ddc54e36cc95c8f",
+    "E.tsv": "c96223ce06a1087f3518ff5eed29eb249e7d64972b802185ba2714633f1fdbdf",
+    "embedding.tsv": "79875161885995abedb1807d023ea24f3ff99842d75cabbad21baeac4f2fb718",
     "shared.tsv": "a1c7698dbff333d380003bf72159ace27464a3e5ae466c4a85ac794c1f34be54",
     "specific.tsv": "4248ce56fc4b04d1c7457f84edd0881cd029b547d3c25618845059bdf3f19cb7",
 }

@@ -3,11 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import lapack
 
 from lrsd.matrix import DenseMatrix
+from lrsd.metrics import benchmark_grid
+from lrsd.simulate import generate
 from lrsd.solver import (
     GRAM_MAX_RATIO,
     DegenerateInputError,
@@ -22,6 +25,7 @@ from lrsd.solver import (
     soft_threshold,
     solve,
     svt,
+    _gram_svt,
     _shrink,
     _svt,
 )
@@ -121,6 +125,111 @@ def test_svt_matches_svd_oracle(case):
     ratio = s[0] / lam if lam > 0 else np.inf
     if abs(ratio / GRAM_MAX_RATIO - 1) > 1e-9:  # clear of the cut, where round-off decides
         assert spy.call_count == (1 if lam == 0 or ratio > GRAM_MAX_RATIO else 0)
+
+
+
+def _eigh_gram_svt(G, lam):
+    """_gram_svt through every eigenpair of G (np.linalg.eigh): the subset solver's oracle."""
+    w, V = np.linalg.eigh(G)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    if s.size and s[0] > GRAM_MAX_RATIO * lam:
+        return None
+    k = int((s > lam).sum())
+    Vk = V[:, ::-1][:, :k]
+    return Vk, Vk * ((s[:k] - lam) / s[:k]), np.maximum(s - lam, 0.0)
+
+
+def _gram_case(kinds, log_lam, seed):
+    """A = U diag(s) V^T with one singular value per kind, relative to lam = 10**log_lam.
+
+    above: lam < s <= 10**4.5 lam (past GRAM_MAX_RATIO for some); below: s < lam;
+    zero: s = 0; near: s^2 within 1e-12 relative of lam^2; equal: s = 10 lam, so
+    that several make one repeated singular value.
+    """
+    rng = np.random.default_rng(seed)
+    lam = 10.0**log_lam
+    s = np.array([{
+        "above": lam * 10.0 ** rng.uniform(1e-3, 4.5),
+        "below": lam * 10.0 ** -rng.uniform(1e-3, 6),
+        "zero": 0.0,
+        "near": lam * np.sqrt(1 + rng.uniform(-1e-12, 1e-12)),
+        "equal": 10 * lam,
+    }[k] for k in kinds])
+    p = len(kinds)
+    U = np.linalg.qr(rng.normal(size=(p + 3, p)))[0]
+    V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    return (U * s) @ V.T, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["above", "below", "zero", "near", "equal"]), min_size=1,
+                max_size=12),
+       st.floats(-3, 3), st.integers(0, 2**32 - 1))
+@example(["zero"] * 4, 0.0, 0)           # G = 0
+@example(["above"], 0.0, 1)              # 1 x 1, kept
+@example(["below"], 0.0, 2)              # 1 x 1, dropped
+@example(["near"] * 6, 0.0, 3)           # a tight cluster astride the cut
+@example(["above"] * 5, 0.0, 4)          # every eigenvalue above lam^2
+@example(["equal"] * 10 + ["zero"] * 2, -2.0, 7)  # inverse iteration can fail on this one
+def test_gram_svt_matches_full_eigh(kinds, log_lam, seed):
+    A, lam = _gram_case(kinds, log_lam, seed)
+    G = A.T @ A
+    got, want = _gram_svt(G, lam), _eigh_gram_svt(G, lam)
+    # clear of the cut, where round-off decides
+    if abs(np.linalg.norm(A, 2) / lam / GRAM_MAX_RATIO - 1) > 1e-9:
+        assert (got is None) == (want is None)
+    if got is not None and want is not None:
+        _assert_gram_factors_agree(A, lam, got, want)
+
+
+def _assert_gram_factors_agree(A, lam, got, want):
+    (Vk, W, s_thr), (Vk0, W0, s_thr0) = got, want
+    assert s_thr.shape == s_thr0.shape == (A.shape[1],)
+    assert np.all(s_thr[:-1] >= s_thr[1:]) and np.all(s_thr >= 0)
+    # the Gram route's error grows like eps * s1/lam on both sides, relative to ||A||
+    s1 = np.linalg.norm(A, 2)
+    tol = 1e-14 * max(s1 / lam, 1.0)
+    assert np.abs(s_thr - s_thr0).max() <= tol * max(s1, lam)
+    assert np.linalg.norm(A @ Vk @ W.T - A @ Vk0 @ W0.T) <= tol * max(np.linalg.norm(A), lam)
+    if s_thr0[0] > 1e3 * tol * max(s1, lam):  # a rank of round-off-sized values is round-off
+        assert numerical_rank(s_thr) == numerical_rank(s_thr0)
+
+
+def _dsyevr_reporting(info):
+    """lapack.dsyevr as it is, except that it reports the given info."""
+    real = lapack.dsyevr
+    return lambda *args, **kwargs: (*real(*args, **kwargs)[:4], info)
+
+
+def test_gram_svt_falls_back_to_all_pairs_when_inverse_iteration_fails():
+    A, lam = _gram_case(["above", "above", "near", "below"], 0.0, 5)
+    A = np.c_[A, np.zeros(len(A))]   # an exact zero eigenvalue, which must not divide
+    G = A.T @ A
+    with mock.patch.object(lapack, "dsyevr", _dsyevr_reporting(1)), \
+            mock.patch.object(lapack, "dsyevd", wraps=lapack.dsyevd) as full:
+        got = _gram_svt(G, lam)
+    assert full.call_count == 1
+    _assert_gram_factors_agree(A, lam, got, _eigh_gram_svt(G, lam))
+
+
+def test_gram_svt_raises_on_illegal_argument():
+    with mock.patch.object(lapack, "dsyevr", _dsyevr_reporting(-8)), \
+            pytest.raises(np.linalg.LinAlgError):
+        _gram_svt(np.eye(2), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svt_refuses_non_finite_input(bad):
+    M = np.ones((4, 3))
+    M[1, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        svt(M, 0.5)
+
+
+def test_svt_threshold_past_float_square():
+    # lam^2 overflows: nothing is kept, and no LAPACK argument error is raised
+    M = np.random.default_rng(6).normal(size=(5, 3))
+    assert np.array_equal(svt(M, 1e200), np.zeros((5, 3)))
 
 
 class TestSoftThreshold:
@@ -418,11 +527,14 @@ def test_blocked_solve_matches_whole_matrix_oracle(case):
     X, E, trace, iterations = _whole_matrix_solve(d, cfg)
     with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * min(d.shape) * rows), \
             mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd_spy, \
-            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh_spy:
+            mock.patch.object(lapack, "dsyevr", wraps=lapack.dsyevr) as eig_spy:
         res = solve(d, cfg)
     assert svd_spy.called == exact_svd
     # the Gram matrix is always the small one: a wide input is swept transposed
-    assert {c.args[0].shape for c in eigh_spy.call_args_list} == {(min(d.shape),) * 2}
+    assert {c.args[0].shape for c in eig_spy.call_args_list} == {(min(d.shape),) * 2}
+    # and only its eigenpairs above alpha^2 are asked for
+    assert {(c.kwargs["range"], c.kwargs["vl"]) for c in eig_spy.call_args_list} == {
+        ("V", cfg.alpha * cfg.alpha)}
     assert res.iterations_used == iterations
     scale = max(np.linalg.norm(d), 1e-300)
     assert np.linalg.norm(res.X_hat.values - X) <= 1e-12 * scale
@@ -432,6 +544,22 @@ def test_blocked_solve_matches_whole_matrix_oracle(case):
         assert np.array_equal(res.X_hat.values, X)
         assert np.array_equal(res.E_hat.values, E)
         assert res.objective_trace == tuple(trace)
+
+
+
+def test_grid_solves_match_full_eigh_oracle():
+    # 24 simulation-grid instances: the same iterates as with every eigenpair, up to round-off
+    for spec in benchmark_grid(0) + benchmark_grid(1):
+        d = generate(spec).data
+        cfg = auto_config(d)
+        res = solve(d, cfg)
+        with mock.patch("lrsd.solver._gram_svt", wraps=_eigh_gram_svt) as full_eigh:
+            oracle = solve(d, cfg)
+        assert full_eigh.call_count == oracle.iterations_used
+        assert res.iterations_used == oracle.iterations_used, spec
+        assert res.nnz_of_E == oracle.nnz_of_E, spec
+        T = cfg.detection_threshold
+        assert np.array_equal(detect(res, T), detect(oracle, T)), spec
 
 
 def test_solve_memory_bounded():

@@ -284,12 +284,14 @@ def test_align_rejects_p_outside_unit_interval(bad):
         align(studies, 1)
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
+def test_cli_import_loads_scipy_special_and_lapack():
+    # align and solve must not pay a first-call import that their stage times would count
     src = str(Path(lrsd.__file__).resolve().parent.parent)
-    code = "import sys, lrsd.cli; print('scipy.special' in sys.modules)"
+    code = ("import sys, lrsd.cli; "
+            "print(*(m in sys.modules for m in ('scipy.special', 'scipy.linalg.lapack')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_write_panel_and_manifest(tmp_path):
