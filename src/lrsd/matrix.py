@@ -125,11 +125,15 @@ def _writers(n_rows: int) -> int:
     `os.fork`."""
     if not hasattr(os, "fork"):
         return 1
+    return max(1, min(_usable_cpus(), _MAX_WRITERS, n_rows // _WRITE_BLOCK))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (`os.sched_getaffinity`),
+    else `os.cpu_count()`, else 1."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WRITERS, n_rows // _WRITE_BLOCK))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _write_rows(m: DenseMatrix, lo: int, hi: int, fh) -> None:

@@ -1,3 +1,6 @@
+import itertools
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import lapack
 
+from lrsd import solver
 from lrsd.matrix import DenseMatrix
 from lrsd.metrics import benchmark_grid
 from lrsd.simulate import generate
@@ -27,6 +31,7 @@ from lrsd.solver import (
     svt,
     _gram_svt,
     _shrink,
+    _svd_svt,
     _svt,
 )
 
@@ -491,16 +496,69 @@ def _whole_matrix_solve(d, cfg):
     return X, E, trace, iterations
 
 
+def _two_pass_solve(d, cfg):
+    """solve from X = E = 0, one block at a time, with two passes over the row blocks per
+    sweep (the Gram matrix of d - E, then X, E and the objective): the fused sweep's oracle."""
+    wide = d.shape[0] < d.shape[1]
+    X, E = np.zeros_like(d), np.zeros_like(d)
+    F = float(0.5 * ((d - E) ** 2).sum() + cfg.beta * np.abs(E).sum())
+    X_new, E_new = np.empty(d.shape), np.empty(d.shape)
+    n, p = d.T.shape if wide else d.shape
+    rows = max(1, solver._SWEEP_BYTES // (8 * max(p, 1)))
+    bounds = [(i, min(i + rows, n)) for i in range(0, n, rows)]
+    buf = np.empty((min(rows, n), p))
+    trace, settle = [F], 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        dt, Et, Xt, E_newt = (a.T if wide else a for a in (d, E, X_new, E_new))
+        G = np.zeros((p, p))
+        for i, j in bounds:
+            r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+            G += r.T @ r
+        factors = _gram_svt(G, cfg.alpha)
+        if factors is None:
+            np.subtract(d, E, out=X_new)
+            s_thr = _svd_svt(X_new, cfg.alpha, X_new)[1]
+        else:
+            Vk, W, s_thr = factors
+        l1 = rr = 0.0
+        for i, j in bounds:
+            r = buf[: j - i]
+            if factors is not None:
+                np.subtract(dt[i:j], Et[i:j], out=r)
+                np.matmul(r @ Vk, W.T, out=Xt[i:j])
+            np.subtract(dt[i:j], Xt[i:j], out=r)
+            l1 += _shrink(r, cfg.beta, E_newt[i:j])
+            r -= E_newt[i:j]
+            rr += float(np.vdot(r, r))
+        F_new = 0.5 * rr + cfg.alpha * float(s_thr.sum()) + cfg.beta * l1
+        stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
+        X, X_new = X_new, X
+        E, E_new = E_new, E
+        trace.append(F_new)
+        if (F - F_new) / max(F, 1.0) < cfg.rel_tolerance:
+            settle += 1
+            if stalled or settle > 2:
+                break
+        else:
+            settle = 0
+        F = F_new
+    return X, E, trace, iterations
+
+
 @st.composite
-def blocked_solve_cases(draw):
+def blocked_solve_cases(draw, blocks=None):
     """Low rank + spikes + noise, with the long side set against the sweep's block rows.
 
+    With `blocks` (a strategy), the long side spans exactly that many blocks.
     Returns the matrix, its config, the block rows and whether the exact-SVD
     branch (s1/alpha > GRAM_MAX_RATIO) is meant to run.
     """
     rows = draw(st.integers(2, 6))
-    long = draw(st.sampled_from([1, rows - 1, rows, rows + 1, rows * draw(st.integers(2, 5))
-                                 + draw(st.integers(0, rows - 1))]))
+    if blocks is None:
+        long = draw(st.sampled_from([1, rows - 1, rows, rows + 1, rows * draw(st.integers(2, 5))
+                                     + draw(st.integers(0, rows - 1))]))
+    else:
+        long = rows * (draw(blocks) - 1) + draw(st.integers(1, rows))
     short = draw(st.integers(1, min(long, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = 10.0 ** draw(st.floats(-2, 2))
@@ -545,6 +603,127 @@ def test_blocked_solve_matches_whole_matrix_oracle(case):
         assert np.array_equal(res.E_hat.values, E)
         assert res.objective_trace == tuple(trace)
 
+
+@settings(max_examples=60, deadline=None)
+@given(blocked_solve_cases(blocks=st.integers(1, 20)))
+def test_shared_sweep_matches_two_pass_oracle(case):
+    d, cfg, rows, exact_svd = case
+    results = []
+    with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * min(d.shape) * rows), \
+            mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd_spy:
+        X, E, trace, iterations = _two_pass_solve(d, cfg)
+        for threads in (1, 2, 3, 8):
+            with mock.patch("lrsd.solver._sweep_threads", lambda k, t=threads: min(t, k)):
+                results.append(solve(d, cfg))
+    assert svd_spy.called == exact_svd
+    # the shares' sums are added in share order whichever thread made them
+    res = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other.X_hat.values, res.X_hat.values)
+        assert np.array_equal(other.E_hat.values, res.E_hat.values)
+        assert other.objective_trace == res.objective_trace
+        assert other.iterations_used == res.iterations_used
+    assert res.iterations_used == iterations
+    if -(-max(d.shape) // rows) <= solver._MAX_SHARES:  # one block per share: bit for bit
+        assert np.array_equal(res.X_hat.values, X)
+        assert np.array_equal(res.E_hat.values, E)
+        assert res.objective_trace == tuple(trace)
+    else:
+        scale = max(np.linalg.norm(d), 1e-300)
+        assert np.linalg.norm(res.X_hat.values - X) <= 1e-12 * scale
+        assert np.linalg.norm(res.E_hat.values - E) <= 1e-12 * scale
+        assert res.objective_trace == pytest.approx(trace, rel=1e-12)
+
+
+def test_shares_under_thread_switch_stress():
+    # 8 threads on fewer cores, switched every microsecond: a share taken twice or never,
+    # or a result stored in the wrong slot, would change the bits
+    rng = np.random.default_rng(11)
+    d = rng.normal(size=(120, 4)) + 3 * np.outer(rng.normal(size=120), rng.normal(size=4))
+    cfg = auto_config(d)
+    with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * 4 * 6):   # 20 blocks in 8 shares
+        with mock.patch("lrsd.solver._sweep_threads", lambda k: 1):
+            want = solve(d, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch("lrsd.solver._sweep_threads", lambda k: min(8, k)):
+                got = [solve(d, cfg) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+    for res in got:
+        assert np.array_equal(res.X_hat.values, want.X_hat.values)
+        assert np.array_equal(res.E_hat.values, want.E_hat.values)
+        assert res.objective_trace == want.objective_trace
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (0, [0]), (1, [1]), (3000, [1, 1, 1]), (8 * 1024, [1] * 8), (9 * 1024, [2] + [1] * 7),
+    (20_000, [4, 3, 3, 3, 2, 2, 2, 1]), (466_423, [101, 88, 76, 63, 51, 38, 26, 13]),
+])
+def test_shares_hold_every_block_in_order(n, sizes):
+    with solver._Shares(n, 32) as shares:   # 1,024 rows per block at p = 32
+        assert [len(share) for share in shares.shares] == sizes
+        blocks = [block for share in shares.shares for block in share]
+    assert blocks == [(i, min(i + 1024, n)) for i in range(0, n, 1024)]
+
+
+@pytest.mark.parametrize("env, cpus, shares, threads", [
+    ({}, 4, 8, 1),                                   # unset: the BLAS threads every call itself
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 16, 8, 8),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 8, 2),
+    ({"MKL_NUM_THREADS": " 1 "}, 2, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 8, 1),  # the first set wins
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 4, 8, 4),   # empty is unset
+])
+def test_sweep_thread_rule(monkeypatch, env, cpus, shares, threads):
+    for var in solver._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    assert solver._sweep_threads(shares) == threads
+
+
+def test_one_block_solve_starts_no_thread(monkeypatch):
+    d = generate(benchmark_grid(0)[0]).data
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with mock.patch("lrsd.solver._usable_cpus", return_value=8), \
+            mock.patch.object(threading.Thread, "start", side_effect=AssertionError("started")):
+        res = solve(d, auto_config(d))
+    assert res.converged
+
+
+@pytest.mark.parametrize("fail_at", [None, 1, 7, 40])
+def test_solve_joins_its_threads(fail_at):
+    # 20 blocks in 8 shares on 4 threads; the k-th soft-threshold of a block raises
+    rng = np.random.default_rng(10)
+    d = rng.normal(size=(100, 3)) + 3 * np.outer(rng.normal(size=100), rng.normal(size=3))
+    cfg = auto_config(d)
+    calls = itertools.count(1)
+
+    def shrink(*args):
+        if next(calls) == fail_at:
+            raise RuntimeError("shrink failed")
+        return _shrink(*args)
+
+    start = threading.Thread.start
+    baseline = threading.active_count()
+    with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * 3 * 5), \
+            mock.patch("lrsd.solver._sweep_threads", lambda k: min(4, k)), \
+            mock.patch("lrsd.solver._shrink", side_effect=shrink), \
+            mock.patch.object(threading.Thread, "start", autospec=True,
+                              side_effect=start) as started:
+        if fail_at is None:
+            assert solve(d, cfg).converged
+        else:
+            with pytest.raises(RuntimeError, match="shrink failed"):
+                solve(d, cfg)
+    assert started.called   # the pool starts its workers as it needs them, up to 3
+    assert threading.active_count() == baseline
 
 
 def test_grid_solves_match_full_eigh_oracle():
