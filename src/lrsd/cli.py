@@ -7,6 +7,7 @@ cap (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -49,6 +50,11 @@ def _write_manifest(path, entries: dict) -> None:
 def _cannot_write(exc: OSError, path) -> int:
     print(f"error: cannot write {exc.filename or path}: {exc.strerror}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _peak_rss_mb() -> str:
+    """This process's peak resident set so far, in MB (ru_maxrss is in KB on Linux)."""
+    return f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
 
 
 class _Stages:
@@ -139,6 +145,7 @@ def cmd_decompose(args) -> int:
             for i, f in enumerate(result.objective_trace):
                 fh.write(f"{i}\t{f!r}\n")
         stages.lap("write")
+        manifest["peak_rss_mb"] = _peak_rss_mb()
         _write_manifest(out / "manifest.txt", manifest | stages.manifest())
     except OSError as exc:
         return _cannot_write(exc, out)
@@ -285,6 +292,7 @@ def cmd_analyze(args) -> int:
             nnz_of_E=result.nnz_of_E,
             n_shared_rows=n_shared,
             n_specific_entries=n_specific,
+            peak_rss_mb=_peak_rss_mb(),
             **stages.manifest(),
         )
         _write_manifest(out / "manifest.txt", manifest)

@@ -45,8 +45,24 @@ are added in share order, so the results do not depend on the number of
 CPUs. Only these sums see the blocking: a tall input of one block gives
 the whole-matrix arithmetic bit for bit, one of at most 8 blocks the same
 iterates as summing block by block, and a larger one agrees with both to
-round-off. The threads live only inside `solve`, which joins them before
-it returns.
+round-off. The threads live only inside `solve` and `estimate_sigma`,
+which join them before they return.
+
+The work before the first sweep runs on the same shares and threads. The
+noise scale 1.48 * median(|D - median(D)|) behind the default parameters
+is exact, equal bit for bit to `np.median` taken twice, and makes no n x p
+copy. Each median sorts a sample of every s-th row (about 32,768 entries),
+takes a bracket a few sqrt(sample) ranks either side of the central rank,
+and in one pass over the shares counts the entries below the bracket and
+gathers those inside it (for the second median, of |D - median| formed
+block by block in each thread's buffer); the central value is selected
+from the gathered ones. Should the bracket miss it, `np.median` takes the
+whole matrix instead. An input of one block partitions a copy of itself
+in place, as before. From X = 0, `solve` takes the starting objective
+0.5*||D - E||_F^2 + beta*||E||_1 from the first sweep's Gram pass, which
+reads every block of D - E anyway, so it costs no pass of its own; a tall
+input of one block sums it as a whole-matrix reduction would, bit for bit,
+and a larger one to round-off.
 """
 
 from __future__ import annotations
@@ -70,6 +86,7 @@ GRAM_MAX_RATIO = 1e4         # SVT leaves the Gram route for an exact SVD above 
 _POLISH_ITERS = 2            # extra sweeps after the objective criterion fires
 _SWEEP_BYTES = 1 << 18       # bytes per row block of a sweep: 1,024 float64 rows at p = 32
 _MAX_SHARES = 8              # a sweep's row blocks go in at most this many contiguous shares
+_MEDIAN_SAMPLE = 1 << 15     # entries sampled to bracket each median of estimate_sigma
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS")   # the BLAS's thread count, first set wins
 _RULE_TEXT = dict(           # provenance of a rule-derived value, as the manifest shows it
@@ -230,16 +247,84 @@ def estimate_sigma(D) -> float:
     """Robust noise scale: 1.48 * median(|D - median(D)|).
 
     Medians of an even number of entries are the mid-mean of the two central
-    ones. Returns 0 for constant input; callers doing auto-parameterization
-    must treat that as degenerate.
+    ones. Exact: both medians are those of `np.median`, bit for bit, and NaN
+    in D gives NaN. An input of more than one row block makes no n x p copy:
+    each median is selected from a sampled bracket over the blocks of
+    `solve`'s sweeps, on its threads (see the module docstring). Returns 0
+    for constant input; callers doing auto-parameterization must treat that
+    as degenerate.
     """
     a = as_array(D)
     if a.size == 0:
         raise ValueError("median of an empty matrix is undefined")
-    w = a.copy()   # the one n x p copy; both medians partition it in place
-    np.subtract(w, np.median(w, overwrite_input=True), out=w)
-    np.abs(w, out=w)
-    return MAD_TO_SIGMA * float(np.median(w, overwrite_input=True))
+    if max(a.shape) <= _block_rows(min(a.shape)):
+        # one block, in cache whole: both medians partition one copy in place
+        w = a.copy()
+        np.subtract(w, np.median(w, overwrite_input=True), out=w)
+        np.abs(w, out=w)
+        return MAD_TO_SIGMA * float(np.median(w, overwrite_input=True))
+    at = _tall(a)[0]
+    with _Shares(*at.shape) as shares:
+        return MAD_TO_SIGMA * _median(shares, at, _median(shares, at))
+
+
+def _median(shares, at, med=None) -> float:
+    """np.median of at's entries, or of |at - med| when med is given, bit for bit.
+
+    The sorted entries of every s-th row (about _MEDIAN_SAMPLE of them) give
+    a bracket [lo, hi] a few sqrt(m) sample ranks either side of the central
+    one(s). One pass over the shares counts the entries below it and gathers
+    those inside, and the central ones are selected from these. Returns the
+    mean of the one or two central values, as np.median does, and NaN when an
+    entry is NaN. Should the bracket miss them, np.median takes the whole
+    line instead.
+    """
+    size = at.size
+    k0, k1 = (size - 1) // 2, size // 2
+    sample = at[:: max(1, size // _MEDIAN_SAMPLE)]
+    if med is not None:
+        sample = np.abs(sample - med)
+    sample = np.sort(sample, axis=None)   # NaN sorts last
+    m = sample.size
+    if math.isnan(sample[-1]):
+        return math.nan
+    w = 3 * math.sqrt(m)
+    lo = sample[max(0, math.floor(k0 * m / size - w))]
+    hi = sample[min(m - 1, math.ceil(k1 * m / size + w))]
+    ge, le, pieces = shares.sum(_bracket_share, at, med, lo, hi)
+    inside = np.concatenate(pieces)
+    if ge + le - inside.size < size:   # the entries neither >= lo nor <= hi are NaN
+        return math.nan
+    below = le - inside.size
+    if below <= k0 and k1 < le:
+        inside.partition([k0 - below, k1 - below])
+        return float(np.mean(inside[k0 - below : k1 - below + 1]))
+    if med is None:
+        line = at.copy()
+    else:
+        line = np.subtract(at, med)
+        np.abs(line, out=line)
+    return float(np.median(line, overwrite_input=True))
+
+
+def _bracket_share(blocks, buf, at, med, lo, hi) -> tuple[int, int, list]:
+    """The rows of at in `blocks` (of |at - med| when med is given) against [lo, hi].
+
+    Returns how many entries are >= lo, how many are <= hi, and, block by
+    block, those in [lo, hi]. |at - med| is formed in buf, with the
+    arithmetic of `np.abs(at - med)`.
+    """
+    ge = le = 0
+    inside = []
+    for i, j in blocks:
+        x = at[i:j]
+        if med is not None:
+            x = np.abs(np.subtract(x, med, out=buf[: j - i]), out=buf[: j - i])
+        m_ge, m_le = x >= lo, x <= hi
+        ge += np.count_nonzero(m_ge)
+        le += np.count_nonzero(m_le)
+        inside.append(x[np.logical_and(m_ge, m_le, out=m_ge)])
+    return ge, le, inside
 
 
 def default_params(n: int, p: int, sigma: float) -> tuple[float, float]:
@@ -332,7 +417,7 @@ class _Shares:
     """
 
     def __init__(self, n: int, p: int):
-        rows = max(1, _SWEEP_BYTES // (8 * max(p, 1)))
+        rows = _block_rows(p)
         blocks = [(i, min(i + rows, n)) for i in range(0, n, rows)]
         k = max(1, min(_MAX_SHARES, len(blocks)))
         # share s (from 0) takes one block plus about (k - s) / (k(k+1)/2) of the
@@ -374,12 +459,29 @@ class _Shares:
             f.result()
         return results
 
+    def sum(self, fn, *args) -> list:
+        """The results of `run(fn, *args)` added term by term, in share order.
+
+        A list term is concatenated; an array term is added into share 0's.
+        """
+        first, *rest = self.run(fn, *args)
+        total = list(first)
+        for part in rest:
+            for t, term in enumerate(part):
+                total[t] += term
+        return total
+
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         if self.pool is not None:
             self.pool.shutdown()
+
+
+def _block_rows(p: int) -> int:
+    """Rows of a row block of width p: about _SWEEP_BYTES, at least one."""
+    return max(1, _SWEEP_BYTES // (8 * max(p, 1)))
 
 
 def _sweep_threads(shares: int) -> int:
@@ -398,13 +500,21 @@ def _sweep_threads(shares: int) -> int:
     return min(_usable_cpus(), shares) if blas.strip() == "1" else 1
 
 
-def _gram_share(blocks, buf, dt, Et) -> np.ndarray:
-    """Gram matrix of the rows of dt - Et in `blocks`, summed block by block."""
+def _gram_share(blocks, buf, dt, Et, sums: bool):
+    """Gram matrix of the rows of dt - Et in `blocks`, summed block by block.
+
+    With `sums`, also the squared sum of those rows of dt - Et and the l1
+    norm of Et's, the objective at X = 0; else both are 0.
+    """
     G = np.zeros((dt.shape[1],) * 2)
+    rr = l1 = 0.0
     for i, j in blocks:
         r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
         G += r.T @ r
-    return G
+        if sums:
+            rr += float(np.square(r).sum())
+            l1 += float(np.abs(Et[i:j]).sum())
+    return G, rr, l1
 
 
 def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta, fused: bool):
@@ -416,8 +526,8 @@ def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta, fused: bool):
     when `fused`, while the block is in cache, its term of the next Gram
     matrix, that of d - E_new. Returns that Gram matrix (None unless
     fused), the l1 sum and the squared sum. Not fused, the share is the
-    matrix's one block, and buf must hold its d - E, as the Gram pass that
-    `_sweep` runs just before leaves it.
+    matrix's one block, and buf must hold its d - E, as the Gram pass run
+    just before (by `_sweep`, or by `solve` for the first sweep) leaves it.
     """
     G = np.zeros((dt.shape[1],) * 2) if fused else None
     l1 = rr = 0.0
@@ -455,21 +565,14 @@ def _sweep(G, d, E, X_new, E_new, alpha: float, beta: float, shares: _Shares):
     """
     views = _tall(d, E, X_new, E_new)
     if G is None:
-        G, *rest = shares.run(_gram_share, *views[:2])
-        for G_k in rest:
-            G += G_k
+        G = shares.sum(_gram_share, *views[:2], False)[0]
     factors = _gram_svt(G, alpha)
     if factors is None:
         np.subtract(d, E, out=X_new)
         s_thr = _svd_svt(X_new, alpha, X_new)[1]
     else:
         s_thr = factors[2]
-    parts = shares.run(_sweep_share, *views, factors, beta, len(shares.shares) > 1)
-    G, l1, rr = parts[0]
-    for G_k, l1_k, rr_k in parts[1:]:
-        G += G_k
-        l1 += l1_k
-        rr += rr_k
+    G, l1, rr = shares.sum(_sweep_share, *views, factors, beta, len(shares.shares) > 1)
     return 0.5 * rr + alpha * float(s_thr.sum()) + beta * l1, s_thr, G
 
 
@@ -504,17 +607,19 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     _check_same_shape(d, X, E)
 
     alpha, beta = config.alpha, config.beta
-    if x0 is None:  # X = 0: no SVD needed for its nuclear norm
-        F = float(0.5 * ((d - E) ** 2).sum() + beta * np.abs(E).sum())
-    else:
-        F = objective(d, X, E, alpha, beta)
     X_new, E_new = np.empty(d.shape), np.empty(d.shape)
-    trace = [F]
     converged = False
     iterations = 0
     settle = 0
-    G = None
     with _Shares(*_tall(d)[0].shape) as shares:
+        if x0 is None:
+            # X = 0, so no SVD for its nuclear norm: the first sweep's Gram pass, which
+            # reads every block of d - E, sums the rest of the objective on the way
+            G, rr, l1 = shares.sum(_gram_share, *_tall(d, E), True)
+            F = float(0.5 * rr + beta * l1)
+        else:
+            G, F = None, objective(d, X, E, alpha, beta)
+        trace = [F]
         for _ in range(config.max_iterations):
             iterations += 1
             F_new, s_thr, G = _sweep(G, d, E, X_new, E_new, alpha, beta, shares)

@@ -140,6 +140,17 @@ class TestDecompose:
         assert "sigma_hat" in mani
         assert float(mani["duration_s"]) >= 0
         _assert_stage_times(mani, ["read", "solve", "write"])
+        _assert_peak_rss(mani, after="nnz_of_E")
+
+
+def _assert_peak_rss(mani, after):
+    """peak_rss_mb, in MB to one decimal, just after `after` and just before the stage times."""
+    keys = list(mani)
+    at = keys.index("peak_rss_mb")
+    assert keys[at - 1] == after
+    assert keys[at + 1].startswith("time_")
+    assert mani["peak_rss_mb"] == f"{float(mani['peak_rss_mb']):.1f}"
+    assert float(mani["peak_rss_mb"]) > 0
 
 
 def _assert_stage_times(mani, stages):
@@ -398,6 +409,7 @@ class TestAnalyze:
         assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
         assert (run["n_shared_rows"], run["n_specific_entries"]) == ("294", "78")
         _assert_stage_times(run, ["parse", "align", "solve", "write", "report"])
+        _assert_peak_rss(run, after="n_specific_entries")
         digests = {
             name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in GOLDEN_SHA256
@@ -497,6 +509,7 @@ class TestAnalyze:
             assert run[key] == str(data_lines)
         assert float(run["duration_s"]) >= 0
         _assert_stage_times(run, ["parse", "align", "solve", "write", "report"])
+        _assert_peak_rss(run, after="n_specific_entries")
         emb = (tmp_path / "out" / "embedding.tsv")
         if emb.exists():
             assert len(emb.read_text().splitlines()) == 4   # header + 3 studies

@@ -1,7 +1,9 @@
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -316,6 +318,74 @@ class TestSigmaAndParams:
         assert estimate_sigma(a) == oracle   # bit for bit
         assert np.array_equal(a, before)   # the caller's array is untouched
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_estimate_sigma_matches_median_oracle(self, data):
+        # 1-20 row blocks of 1-6 rows, so that most inputs take the sampled bracket
+        rows, blocks = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 20))
+        long = rows * (blocks - 1) + data.draw(st.integers(1, rows))
+        short = data.draw(st.integers(1, min(long, 5)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["normal", "ties", "zeros", "huge"]))
+        a = {
+            "normal": lambda: rng.normal(size=(long, short)),
+            "ties": lambda: rng.integers(-2, 3, size=(long, short)).astype(float),
+            "zeros": lambda: rng.choice([0.0, -0.0, 1.0, -1.0], size=(long, short)),
+            "huge": lambda: rng.choice([-1.0, 1.0], (long, short)) * 10.0 ** rng.uniform(
+                -300, 300, (long, short)),
+        }[kind]()
+        for value in data.draw(st.lists(st.sampled_from(
+                [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300]), max_size=3)):
+            a.flat[rng.integers(a.size)] = value
+        layout = data.draw(st.sampled_from(["tall", "wide", "transposed"]))
+        a = {"tall": a, "wide": a.T.copy(), "transposed": a.T}[layout]
+        sample = data.draw(st.sampled_from([4, 16, 64, 1 << 15]))
+        before, baseline = a.copy(), threading.active_count()
+        # inf - inf and overflow warn in the oracle as in estimate_sigma, on every thread
+        with warnings.catch_warnings(), \
+                mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
+                mock.patch("lrsd.solver._MEDIAN_SAMPLE", sample):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+            for threads in (1, 2, 3, 8):
+                with mock.patch("lrsd.solver._sweep_threads", lambda k, t=threads: min(t, k)):
+                    got = estimate_sigma(a)
+                if math.isnan(oracle):
+                    assert math.isnan(got)
+                else:
+                    assert got == oracle   # bit for bit
+                assert threading.active_count() == baseline
+        assert np.array_equal(a, before, equal_nan=True)   # the caller's array is untouched
+
+    @pytest.mark.parametrize("miss, misses", [("both", 2), ("mad", 1)])
+    def test_estimate_sigma_bracket_miss(self, miss, misses):
+        # the sample, every 10th row, is built to bracket neither the median nor the MAD
+        # (or the median only): np.median takes the whole line instead, with the same result
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(400, 4))
+        a[::10] = 1e6 if miss == "both" else rng.choice([-1e6, 1e6], size=(40, 4))
+        oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+        with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * 4 * 8), \
+                mock.patch("lrsd.solver._MEDIAN_SAMPLE", 160), \
+                mock.patch.object(np, "median", wraps=np.median) as whole_line:
+            assert estimate_sigma(a) == oracle
+        assert whole_line.call_count == misses
+
+    def test_estimate_sigma_memory_bounded(self):
+        # no copy of the input: the sample, the gathered bracket and the block buffers only
+        rng = np.random.default_rng(13)
+        D = rng.normal(size=(20_000, 32))
+        D += 3 * np.outer(rng.normal(size=20_000), rng.normal(size=32))
+        with mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)):
+            tracemalloc.start()
+            try:
+                sigma = estimate_sigma(D)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sigma == 1.48 * float(np.median(np.abs(D - float(np.median(D)))))
+        assert peak <= 0.4 * D.nbytes
+
     def test_gaussian_consistency(self):
         rng = np.random.default_rng(3)
         d = rng.normal(0, 2.0, size=(500, 500))
@@ -498,22 +568,29 @@ def _whole_matrix_solve(d, cfg):
 
 def _two_pass_solve(d, cfg):
     """solve from X = E = 0, one block at a time, with two passes over the row blocks per
-    sweep (the Gram matrix of d - E, then X, E and the objective): the fused sweep's oracle."""
+    sweep (the Gram matrix of d - E, then X, E and the objective): the fused sweep's oracle.
+    The first Gram pass also sums the zero-start objective, block by block."""
     wide = d.shape[0] < d.shape[1]
     X, E = np.zeros_like(d), np.zeros_like(d)
-    F = float(0.5 * ((d - E) ** 2).sum() + cfg.beta * np.abs(E).sum())
     X_new, E_new = np.empty(d.shape), np.empty(d.shape)
     n, p = d.T.shape if wide else d.shape
     rows = max(1, solver._SWEEP_BYTES // (8 * max(p, 1)))
     bounds = [(i, min(i + rows, n)) for i in range(0, n, rows)]
     buf = np.empty((min(rows, n), p))
-    trace, settle = [F], 0
+    F, settle = None, 0
     for iterations in range(1, cfg.max_iterations + 1):
         dt, Et, Xt, E_newt = (a.T if wide else a for a in (d, E, X_new, E_new))
         G = np.zeros((p, p))
+        rr = l1 = 0.0
         for i, j in bounds:
             r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
             G += r.T @ r
+            if F is None:
+                rr += float(np.square(r).sum())
+                l1 += float(np.abs(Et[i:j]).sum())
+        if F is None:
+            F = float(0.5 * rr + cfg.beta * l1)
+            trace = [F]
         factors = _gram_svt(G, cfg.alpha)
         if factors is None:
             np.subtract(d, E, out=X_new)
@@ -633,6 +710,29 @@ def test_shared_sweep_matches_two_pass_oracle(case):
         assert np.linalg.norm(res.X_hat.values - X) <= 1e-12 * scale
         assert np.linalg.norm(res.E_hat.values - E) <= 1e-12 * scale
         assert res.objective_trace == pytest.approx(trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows, shares, warm", [
+    (100, 1, False),   # one block: a Gram pass in every sweep, the first takes the sums
+    (5, 8, False),     # 20 blocks: the one Gram pass of its own, the first sweep's
+    (5, 8, True),      # a warm start takes objective() instead
+])
+def test_only_the_first_sweep_takes_the_zero_start_sums(rows, shares, warm):
+    rng = np.random.default_rng(14)
+    d = rng.normal(size=(100, 3)) + 3 * np.outer(rng.normal(size=100), rng.normal(size=3))
+    cfg = auto_config(d)
+    with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * 3 * rows), \
+            mock.patch("lrsd.solver._gram_share", wraps=solver._gram_share) as gram, \
+            mock.patch("lrsd.solver.objective", wraps=objective) as whole:
+        res = solve(d, cfg, x0=np.zeros_like(d) if warm else None)
+    sums = [c.args[-1] for c in gram.call_args_list]
+    passes = res.iterations_used if shares == 1 else 1   # no Gram pass is added
+    assert len(sums) == passes * shares
+    assert sums == [not warm] * shares + [False] * (len(sums) - shares)
+    assert whole.call_count == warm
+    if not warm:
+        assert res.objective_trace[0] == pytest.approx(
+            objective(d, np.zeros_like(d), np.zeros_like(d), cfg.alpha, cfg.beta), rel=1e-12)
 
 
 def test_shares_under_thread_switch_stress():
