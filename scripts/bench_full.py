@@ -4,19 +4,23 @@
     python3 scripts/bench_full.py [--rows 466423] [--seed 7] [--out BENCH_analyze_full.json]
 
 Builds the benchmark's study panel (`perfbench/inputs.make_panel`, 32
-studies over `--rows` SNPs) in a temporary directory, then runs, each in a
-child process with one BLAS thread and `src/` on its path:
+studies over `--rows` SNPs) in a temporary directory, then runs, three
+times in turn, each in a child process with one BLAS thread and `src/` on
+its path:
 
   lrsd analyze --min-coverage 16 on the panel, then
   lrsd decompose on the `z.tsv` that analyze wrote.
 
-It appends one record to `--out` (a JSON list): the commit, the machine,
-and per child its wall and CPU time, the `time_<stage>_s` of its manifest,
-its `ru_maxrss` from `os.wait4` and the bytes of each output file; then
-analyze's entry F1 against the planted signal and its optimality residual
-over alpha, from `perfbench/checks.check_analyze`, which also checks its
-outputs. Run it from anywhere; at the full shape it takes a few minutes
-and about 1.5 GB of temporary disk.
+A single run per command would sit inside the machine's drift between
+runs: on a 2-vCPU VM two runs of analyze ten minutes apart differed by a
+fifth. It appends one record to `--out` (a JSON list): the commit, the
+machine, and per command the median over its runs of its wall and CPU
+time, of each `time_<stage>_s` of its manifest, of its `ru_maxrss` from
+`os.wait4` and of the bytes of each output file, with every run itself
+under `runs`; then analyze's entry F1 against the planted signal and its
+optimality residual over alpha, from `perfbench/checks.check_analyze`,
+which also checks its outputs. Run it from anywhere; at the full shape it takes ten
+minutes or more and about 1.5 GB of temporary disk.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -37,6 +42,7 @@ from checks import check_analyze  # noqa: E402
 from inputs import MIN_COVERAGE, load_truth, make_panel  # noqa: E402
 from run import child_env, machine  # noqa: E402
 
+RUNS = 3   # runs per command, alternating analyze and decompose
 PEAK_NOTE = ("ru_maxrss is the peak of the largest single process, the child or one of "
              "the TSV writers it forks; the writers' memory, held beside the child's, "
              "is not counted")
@@ -64,6 +70,13 @@ def run_child(args: list[str], out: Path) -> dict:
     )
 
 
+def medians(runs: list[dict]) -> dict:
+    """The runs' records with each number replaced by its median over the runs."""
+    return {key: medians([r[key] for r in runs]) if isinstance(value, dict)
+            else statistics.median(r[key] for r in runs)
+            for key, value in runs[0].items()}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -82,9 +95,11 @@ def main() -> int:
         t0 = time.perf_counter()
         make_panel(panel, args.seed, n=args.rows)
         setup_s = time.perf_counter() - t0
-        analyze = run_child(["analyze", "--manifest", str(panel / "studies.txt"),
-                             "--min-coverage", str(MIN_COVERAGE)], an)
-        decompose = run_child(["decompose", "--input", str(an / "z.tsv")], dec)
+        runs = dict(analyze=[], decompose=[])
+        for _ in range(RUNS):   # each run writes over the files of the one before
+            runs["analyze"].append(run_child(["analyze", "--manifest", str(panel / "studies.txt"),
+                                              "--min-coverage", str(MIN_COVERAGE)], an))
+            runs["decompose"].append(run_child(["decompose", "--input", str(an / "z.tsv")], dec))
         residual_rel, (f1,) = check_analyze(an, dict(truth=load_truth(panel)))
 
     record = dict(
@@ -96,8 +111,7 @@ def main() -> int:
         seed=args.seed,
         machine=machine(),
         setup_s=round(setup_s, 3),
-        analyze=analyze,
-        decompose=decompose,
+        **{command: dict(medians(r), runs=r) for command, r in runs.items()},
         entry_f1=f1,
         residual_rel=residual_rel,
         peak_note=PEAK_NOTE,

@@ -30,12 +30,11 @@ pass over row blocks of the tall orientation (about 256 KB each) instead of
 whole-matrix passes. Per block it recomputes D - E, forms its rows of X and
 of E, adds its share of the objective and, while the block is still in
 cache, its term of the Gram matrix of D - E_new, which the next sweep's SVT
-needs; only the first sweep's Gram matrix takes a pass of its own. (An
-input of one block fits in cache whole, so it keeps a Gram pass at the
-start of every sweep instead, and its last sweep sums no Gram matrix.) The
-blocks go, in order, into min(8, blocks) contiguous shares whose bounds
-depend only on the shape and which shrink along the matrix, so that the
-shares taken last are short and no thread waits long for another. When
+needs; only the first sweep's Gram matrix takes a pass of its own. Every
+input takes this pass, whatever its number of blocks. The blocks go, in
+order, into min(8, blocks) contiguous shares whose bounds depend only on
+the shape and which shrink along the matrix, so that the shares taken
+last are short and no thread waits long for another. When
 the BLAS runs one thread per call (OPENBLAS_NUM_THREADS=1 or the like), the
 shares run on one thread per usable CPU (numpy and BLAS release the
 interpreter lock), each thread with its own block-sized buffer; else they
@@ -50,15 +49,17 @@ which join them before they return.
 
 The work before the first sweep runs on the same shares and threads. The
 noise scale 1.48 * median(|D - median(D)|) behind the default parameters
-is exact, equal bit for bit to `np.median` taken twice, and makes no n x p
-copy. Each median sorts a sample of every s-th row (about 32,768 entries),
-takes a bracket a few sqrt(sample) ranks either side of the central rank,
-and in one pass over the shares counts the entries below the bracket and
-gathers those inside it (for the second median, of |D - median| formed
-block by block in each thread's buffer); the central value is selected
-from the gathered ones. Should the bracket miss it, `np.median` takes the
-whole matrix instead. An input of one block partitions a copy of itself
-in place, as before. From X = 0, `solve` takes the starting objective
+is exact and equal bit for bit to `np.median` taken twice. Each median
+sorts a sample of every s-th row (about 32,768 entries). When s is 1 (an
+input of fewer than 65,536 entries, every input of one block among them)
+the sorted sample is the whole matrix and gives the median directly.
+Else it takes a bracket a few sqrt(sample) ranks either side of the
+central rank, and in one pass over the shares counts the entries below
+the bracket and gathers those inside it (for the second median, of
+|D - median| formed block by block in each thread's buffer), with no
+n x p copy; the central value is selected from the gathered ones. Should
+the bracket miss it, `np.median` takes the whole matrix instead. From
+X = 0, `solve` takes the starting objective
 0.5*||D - E||_F^2 + beta*||E||_1 from the first sweep's Gram pass, which
 reads every block of D - E anyway, so it costs no pass of its own; a tall
 input of one block sums it as a whole-matrix reduction would, bit for bit,
@@ -248,21 +249,15 @@ def estimate_sigma(D) -> float:
 
     Medians of an even number of entries are the mid-mean of the two central
     ones. Exact: both medians are those of `np.median`, bit for bit, and NaN
-    in D gives NaN. An input of more than one row block makes no n x p copy:
-    each median is selected from a sampled bracket over the blocks of
-    `solve`'s sweeps, on its threads (see the module docstring). Returns 0
-    for constant input; callers doing auto-parameterization must treat that
-    as degenerate.
+    in D gives NaN. Each median is taken by `_median`: from a sorted sample
+    of D when that is all of D, else selected from a sampled bracket over
+    the blocks of `solve`'s sweeps, on its threads, with no n x p copy (see
+    the module docstring). Returns 0 for constant input; callers doing
+    auto-parameterization must treat that as degenerate.
     """
     a = as_array(D)
     if a.size == 0:
         raise ValueError("median of an empty matrix is undefined")
-    if max(a.shape) <= _block_rows(min(a.shape)):
-        # one block, in cache whole: both medians partition one copy in place
-        w = a.copy()
-        np.subtract(w, np.median(w, overwrite_input=True), out=w)
-        np.abs(w, out=w)
-        return MAD_TO_SIGMA * float(np.median(w, overwrite_input=True))
     at = _tall(a)[0]
     with _Shares(*at.shape) as shares:
         return MAD_TO_SIGMA * _median(shares, at, _median(shares, at))
@@ -274,10 +269,11 @@ def _median(shares, at, med=None) -> float:
     The sorted entries of every s-th row (about _MEDIAN_SAMPLE of them) give
     a bracket [lo, hi] a few sqrt(m) sample ranks either side of the central
     one(s). One pass over the shares counts the entries below it and gathers
-    those inside, and the central ones are selected from these. Returns the
-    mean of the one or two central values, as np.median does, and NaN when an
-    entry is NaN. Should the bracket miss them, np.median takes the whole
-    line instead.
+    those inside, and the central ones are selected from these. When s is 1
+    (fewer than 2 * _MEDIAN_SAMPLE entries) the sorted sample is the whole
+    line and gives them directly, with no pass. Returns the mean of the one
+    or two central values, as np.median does, and NaN when an entry is NaN.
+    Should the bracket miss them, np.median takes the whole line instead.
     """
     size = at.size
     k0, k1 = (size - 1) // 2, size // 2
@@ -288,6 +284,8 @@ def _median(shares, at, med=None) -> float:
     m = sample.size
     if math.isnan(sample[-1]):
         return math.nan
+    if m == size:   # the sample is the whole line
+        return float(np.mean(sample[k0 : k1 + 1]))
     w = 3 * math.sqrt(m)
     lo = sample[max(0, math.floor(k0 * m / size - w))]
     hi = sample[min(m - 1, math.ceil(k1 * m / size + w))]
@@ -517,33 +515,28 @@ def _gram_share(blocks, buf, dt, Et, sums: bool):
     return G, rr, l1
 
 
-def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta, fused: bool):
+def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta):
     """A sweep's pass over the rows of one share, tall orientation.
 
     Per block: its rows of X_new (from d - E and the SVT factors, unless
     X_new was already formed whole), of E_new = soft(d - X_new, beta), the
     l1 norm of E_new and the squared residual d - X_new - E_new, and then,
-    when `fused`, while the block is in cache, its term of the next Gram
-    matrix, that of d - E_new. Returns that Gram matrix (None unless
-    fused), the l1 sum and the squared sum. Not fused, the share is the
-    matrix's one block, and buf must hold its d - E, as the Gram pass run
-    just before (by `_sweep`, or by `solve` for the first sweep) leaves it.
+    while the block is in cache, its term of the next Gram matrix, that of
+    d - E_new. Returns that Gram matrix, the l1 sum and the squared sum.
     """
-    G = np.zeros((dt.shape[1],) * 2) if fused else None
+    G = np.zeros((dt.shape[1],) * 2)
     l1 = rr = 0.0
     for i, j in blocks:
         r = buf[: j - i]
         if factors is not None:
-            if fused:   # else this is the one block, whose d - E the Gram pass left in buf
-                np.subtract(dt[i:j], Et[i:j], out=r)
+            np.subtract(dt[i:j], Et[i:j], out=r)
             np.matmul(r @ factors[0], factors[1].T, out=Xt[i:j])
         np.subtract(dt[i:j], Xt[i:j], out=r)
         l1 += _shrink(r, beta, E_newt[i:j])
         r -= E_newt[i:j]   # the residual d - X_new - E_new
         rr += float(np.vdot(r, r))
-        if fused:
-            np.subtract(dt[i:j], E_newt[i:j], out=r)
-            G += r.T @ r
+        np.subtract(dt[i:j], E_newt[i:j], out=r)
+        G += r.T @ r
     return G, l1, rr
 
 
@@ -551,28 +544,21 @@ def _sweep(G, d, E, X_new, E_new, alpha: float, beta: float, shares: _Shares):
     """One sweep: X_new = SVT(d - E, alpha), then E_new = soft(d - X_new, beta).
 
     G is the Gram matrix of d - E in the tall orientation (a wide input is
-    swept through its transpose), or None to sum it in a pass of its own
-    first. Returns the objective at (X_new, E_new), the shrunk singular
-    values and the Gram matrix of d - E_new, which the next sweep takes as
-    its G. The pass over the row blocks is the fused one of the module
-    docstring; the shares' sums are added in share order. With one share
-    (one block, which fits in cache whole) the pass leaves the next Gram
-    matrix to the next sweep and returns None for it, so that the last
-    sweep sums none it will not use, and it forms X_new from the d - E
-    that the Gram pass left in the buffer, as a whole-matrix sweep would.
-    When the Gram route does not apply, d - E is built in X_new for the
-    exact SVD first, and the pass only reads X_new.
+    swept through its transpose). Returns the objective at (X_new, E_new),
+    the shrunk singular values and the Gram matrix of d - E_new, which the
+    next sweep takes as its G. The pass over the row blocks is the fused
+    one of the module docstring, whatever their number; the shares' sums
+    are added in share order. When the Gram route does not apply, d - E is
+    built in X_new for the exact SVD first, and the pass only reads X_new.
     """
     views = _tall(d, E, X_new, E_new)
-    if G is None:
-        G = shares.sum(_gram_share, *views[:2], False)[0]
     factors = _gram_svt(G, alpha)
     if factors is None:
         np.subtract(d, E, out=X_new)
         s_thr = _svd_svt(X_new, alpha, X_new)[1]
     else:
         s_thr = factors[2]
-    G, l1, rr = shares.sum(_sweep_share, *views, factors, beta, len(shares.shares) > 1)
+    G, l1, rr = shares.sum(_sweep_share, *views, factors, beta)
     return 0.5 * rr + alpha * float(s_thr.sum()) + beta * l1, s_thr, G
 
 
@@ -612,13 +598,10 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     iterations = 0
     settle = 0
     with _Shares(*_tall(d)[0].shape) as shares:
-        if x0 is None:
-            # X = 0, so no SVD for its nuclear norm: the first sweep's Gram pass, which
-            # reads every block of d - E, sums the rest of the objective on the way
-            G, rr, l1 = shares.sum(_gram_share, *_tall(d, E), True)
-            F = float(0.5 * rr + beta * l1)
-        else:
-            G, F = None, objective(d, X, E, alpha, beta)
+        # the first sweep's Gram matrix; from X = 0 its pass, which reads every block
+        # of d - E, sums the rest of the objective too, so ||X||_* needs no SVD
+        G, rr, l1 = shares.sum(_gram_share, *_tall(d, E), x0 is None)
+        F = float(0.5 * rr + beta * l1) if x0 is None else objective(d, X, E, alpha, beta)
         trace = [F]
         for _ in range(config.max_iterations):
             iterations += 1

@@ -371,6 +371,49 @@ class TestSigmaAndParams:
             assert estimate_sigma(a) == oracle
         assert whole_line.call_count == misses
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_estimate_sigma_whole_line_and_bracket(self, data):
+        # _MEDIAN_SAMPLE = S: below 2S entries the sorted sample is the whole line and
+        # gives each median with no bracket pass; from 2S on a bracket pass is made
+        rows, short = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        long = data.draw(st.integers(short, 30))
+        size = long * short
+        whole = data.draw(st.booleans()) or size < 2
+        # size is 2S - 2 or 2S - 1 for the whole line, else 2S or 2S + 1
+        sample = size // 2 + 1 if whole else size // 2
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["normal", "ties", "zeros"]))
+        a = {
+            "normal": lambda: rng.normal(size=(long, short)),
+            "ties": lambda: rng.integers(-2, 3, size=(long, short)).astype(float),
+            "zeros": lambda: rng.choice([0.0, -0.0, 1.0, -1.0], size=(long, short)),
+        }[kind]()
+        for value in data.draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+                                        max_size=3)):
+            a.flat[rng.integers(a.size)] = value
+        layout = data.draw(st.sampled_from(["tall", "wide", "transposed"]))
+        a = {"tall": a, "wide": a.T.copy(), "transposed": a.T}[layout]
+        before, baseline = a.copy(), threading.active_count()
+        with warnings.catch_warnings(), \
+                mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
+                mock.patch("lrsd.solver._MEDIAN_SAMPLE", sample), \
+                mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)), \
+                mock.patch("lrsd.solver._bracket_share", wraps=solver._bracket_share) as bracket:
+            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf, as in the oracle
+            oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+            got = estimate_sigma(a)
+        if math.isnan(oracle):
+            assert math.isnan(got)
+        else:
+            assert got == oracle   # bit for bit
+        if whole:
+            assert not bracket.called
+        elif not np.isnan(a).any():   # NaN in the sample ends a median before its pass
+            assert bracket.called
+        assert np.array_equal(a, before, equal_nan=True)   # the caller's array is untouched
+        assert threading.active_count() == baseline
+
     def test_estimate_sigma_memory_bounded(self):
         # no copy of the input: the sample, the gathered bracket and the block buffers only
         rng = np.random.default_rng(13)
@@ -713,7 +756,8 @@ def test_shared_sweep_matches_two_pass_oracle(case):
 
 
 @pytest.mark.parametrize("rows, shares, warm", [
-    (100, 1, False),   # one block: a Gram pass in every sweep, the first takes the sums
+    (100, 1, False),   # one block: the fused pass, as for many blocks
+    (100, 1, True),
     (5, 8, False),     # 20 blocks: the one Gram pass of its own, the first sweep's
     (5, 8, True),      # a warm start takes objective() instead
 ])
@@ -723,12 +767,14 @@ def test_only_the_first_sweep_takes_the_zero_start_sums(rows, shares, warm):
     cfg = auto_config(d)
     with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * 3 * rows), \
             mock.patch("lrsd.solver._gram_share", wraps=solver._gram_share) as gram, \
+            mock.patch("lrsd.solver._sweep_share", wraps=solver._sweep_share) as sweep, \
+            mock.patch.object(lapack, "dsyevr", wraps=lapack.dsyevr) as eig, \
             mock.patch("lrsd.solver.objective", wraps=objective) as whole:
         res = solve(d, cfg, x0=np.zeros_like(d) if warm else None)
-    sums = [c.args[-1] for c in gram.call_args_list]
-    passes = res.iterations_used if shares == 1 else 1   # no Gram pass is added
-    assert len(sums) == passes * shares
-    assert sums == [not warm] * shares + [False] * (len(sums) - shares)
+    # one Gram pass per solve; then one fused pass and one eigensolve per sweep
+    assert [c.args[-1] for c in gram.call_args_list] == [not warm] * shares
+    assert sweep.call_count == res.iterations_used * shares
+    assert eig.call_count == res.iterations_used
     assert whole.call_count == warm
     if not warm:
         assert res.objective_trace[0] == pytest.approx(
