@@ -190,6 +190,9 @@ def cmd_evaluate(args) -> int:
         elif args.x is not None and args.e is not None:
             X = read_tsv(args.x)
             E = read_tsv(args.e)
+            if X.shape != E.shape:
+                raise ValueError(f"{args.x} is {X.shape[0]} x {X.shape[1]} but {args.e} "
+                                 f"is {E.shape[0]} x {E.shape[1]}")
             if args.threshold is not None:
                 T = args.threshold
             elif args.input is not None:

@@ -34,18 +34,18 @@ needs; only the first sweep's Gram matrix takes a pass of its own. Every
 input takes this pass, whatever its number of blocks. The blocks go, in
 order, into min(8, blocks) contiguous shares whose bounds depend only on
 the shape and which shrink along the matrix, so that the shares taken
-last are short and no thread waits long for another. When
+last are short and no thread sits idle long at the end. When
 the BLAS runs one thread per call (OPENBLAS_NUM_THREADS=1 or the like), the
-shares run on one thread per usable CPU (numpy and BLAS release the
-interpreter lock), each thread with its own block-sized buffer; else they
-run inline, as the BLAS threads already take every core. Each share
-returns its own Gram matrix, l1 sum and squared-residual sum, and these
-are added in share order, so the results do not depend on the number of
-CPUs. Only these sums see the blocking: a tall input of one block gives
-the whole-matrix arithmetic bit for bit, one of at most 8 blocks the same
-iterates as summing block by block, and a larger one agrees with both to
-round-off. The threads live only inside `solve` and `estimate_sigma`,
-which join them before they return.
+shares go, through `Executor.map`, to a pool of one thread per usable CPU
+(numpy and BLAS release the interpreter lock); else they run inline, as
+the BLAS threads already take every core. Each share gets a block-sized
+buffer of its own and returns its own Gram matrix, l1 sum and
+squared-residual sum, and these are added in share order, so the results
+do not depend on the number of CPUs. Only these sums see the blocking: a
+tall input of one block gives the whole-matrix arithmetic bit for bit,
+one of at most 8 blocks the same iterates as summing block by block, and
+a larger one agrees with both to round-off. The threads live only inside
+`solve` and `estimate_sigma`, which join them before they return.
 
 The work before the first sweep runs on the same shares and threads. The
 noise scale 1.48 * median(|D - median(D)|) behind the default parameters
@@ -56,12 +56,12 @@ the sorted sample is the whole matrix and gives the median directly.
 Else it takes a bracket a few sqrt(sample) ranks either side of the
 central rank, and in one pass over the shares counts the entries below
 the bracket and gathers those inside it (for the second median, of
-|D - median| formed block by block in each thread's buffer), with no
+|D - median| formed block by block in each share's buffer), with no
 n x p copy; the central value is selected from the gathered ones. Should
-the bracket miss it, `np.median` takes the whole matrix instead. From
-X = 0, `solve` takes the starting objective
-0.5*||D - E||_F^2 + beta*||E||_1 from the first sweep's Gram pass, which
-reads every block of D - E anyway, so it costs no pass of its own; a tall
+the bracket miss it, `np.median` takes the whole matrix instead. `solve`
+starts from E = 0, so the first sweep's Gram matrix is that of D. From
+X = 0 the starting objective is 0.5*||D||_F^2, which the same pass sums
+as it reads every block of D, so it costs no pass of its own; a tall
 input of one block sums it as a whole-matrix reduction would, bit for bit,
 and a larger one to round-off.
 """
@@ -70,8 +70,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,10 +407,11 @@ class _Shares:
     one block each plus the blocks past k in shares shrinking linearly. The
     bounds depend on n, p and _SWEEP_BYTES only, and `run` returns each
     share's result in share order, so the arithmetic does not depend on the
-    thread count. There are `_sweep_threads(shares)` threads, the calling
-    thread included; with one, the shares run inline and no thread starts.
-    Each thread has its own block-sized buffer. Used as a context manager,
-    which joins the threads on exit.
+    thread count. With `_sweep_threads(shares)` above one, the shares go to
+    a pool of that many threads through `Executor.map`; else they run
+    inline and no thread starts. Each call on a share gets a block-sized
+    buffer of its own. Used as a context manager, which joins the threads
+    on exit.
     """
 
     def __init__(self, n: int, p: int):
@@ -420,42 +420,21 @@ class _Shares:
         k = max(1, min(_MAX_SHARES, len(blocks)))
         # share s (from 0) takes one block plus about (k - s) / (k(k+1)/2) of the
         # blocks past k: the shares taken last are short, so that no thread
-        # waits long for another at the end of a pass
+        # sits idle long at the end of a pass
         extra, total = len(blocks) - k, k * (k + 1) // 2
         bounds = [s - (-extra * (s * (2 * k - s + 1) // 2) // total) for s in range(k + 1)]
         self.shares = [blocks[bounds[s] : bounds[s + 1]] for s in range(k)]
+        self.buf_shape = (min(rows, n), p)
         threads = _sweep_threads(k)
-        self.bufs = [np.empty((min(rows, n), p)) for _ in range(threads)]
-        self.pool = ThreadPoolExecutor(threads - 1) if threads > 1 else None
-        self.lock = threading.Lock()
+        self.pool = ThreadPoolExecutor(threads) if threads > 1 else None
 
     def run(self, fn, *args) -> list:
-        """[fn(blocks, buf, *args) for each share's blocks], buf being the running thread's.
+        """[fn(blocks, buf, *args) for each share's blocks], buf a fresh block-sized one."""
+        def call(blocks):
+            return fn(blocks, np.empty(self.buf_shape), *args)
 
-        Each thread, this one too, takes the next share not yet taken until
-        none is left, so a worker that is slow to wake costs no waiting.
-        """
-        if self.pool is None:
-            return [fn(blocks, self.bufs[0], *args) for blocks in self.shares]
-        results = [None] * len(self.shares)
-        taken = iter(range(len(self.shares)))
-
-        def drain(buf):
-            while True:
-                with self.lock:
-                    k = next(taken, None)
-                if k is None:
-                    return
-                results[k] = fn(self.shares[k], buf, *args)
-
-        futures = [self.pool.submit(drain, buf) for buf in self.bufs[1:]]
-        try:
-            drain(self.bufs[0])
-        finally:
-            wait(futures)   # no worker writes after run returns or raises
-        for f in futures:
-            f.result()
-        return results
+        mapper = map if self.pool is None else self.pool.map
+        return list(mapper(call, self.shares))
 
     def sum(self, fn, *args) -> list:
         """The results of `run(fn, *args)` added term by term, in share order.
@@ -498,21 +477,20 @@ def _sweep_threads(shares: int) -> int:
     return min(_usable_cpus(), shares) if blas.strip() == "1" else 1
 
 
-def _gram_share(blocks, buf, dt, Et, sums: bool):
-    """Gram matrix of the rows of dt - Et in `blocks`, summed block by block.
+def _gram_share(blocks, buf, dt):
+    """Gram matrix and squared sum of the rows of dt in `blocks`, summed block by block.
 
-    With `sums`, also the squared sum of those rows of dt - Et and the l1
-    norm of Et's, the objective at X = 0; else both are 0.
+    Each block is copied into buf first, so that the products see the same
+    contiguous rows whatever dt's layout.
     """
     G = np.zeros((dt.shape[1],) * 2)
-    rr = l1 = 0.0
+    rr = 0.0
     for i, j in blocks:
-        r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+        r = buf[: j - i]
+        r[...] = dt[i:j]
         G += r.T @ r
-        if sums:
-            rr += float(np.square(r).sum())
-            l1 += float(np.abs(Et[i:j]).sum())
-    return G, rr, l1
+        rr += float(np.square(r).sum())
+    return G, rr
 
 
 def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta):
@@ -568,20 +546,20 @@ def _tall(*arrays) -> list[np.ndarray]:
     return [a.T if wide else a for a in arrays]
 
 
-def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
-    """Alternate SVT and soft-thresholding from X = E = 0 until convergence.
+def solve(D, config: SolverConfig, x0=None) -> SolverResult:
+    """Alternate SVT and soft-thresholding from E = 0 and X = 0 (or x0) until convergence.
 
     Convergence: relative objective decrease below config.rel_tolerance.
     A couple of extra sweeps are run after the criterion first fires so the
     returned pair also satisfies the first-order optimality conditions
     tightly; the trace stays non-increasing throughout. Hitting the
-    iteration cap is reported via converged=False, not an error. D, x0 and
-    e0 must be finite; NaN or Inf raises ValueError before any work. The
+    iteration cap is reported via converged=False, not an error. D and x0
+    must be finite; NaN or Inf raises ValueError before any work. The
     sweeps may run on one thread per usable CPU (see the module docstring),
     all joined before solve returns or raises; the results do not depend on
     their number.
     """
-    for name, m in (("D", D), ("x0", x0), ("e0", e0)):
+    for name, m in (("D", D), ("x0", x0)):
         if m is not None and not np.isfinite(as_array(m)).all():
             raise ValueError(f"solve: {name} has NaN or Inf entries")
     d = as_array(D)
@@ -589,8 +567,8 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     if isinstance(D, DenseMatrix):
         labels = dict(row_labels=D.row_labels, col_labels=D.col_labels)
     X = np.zeros_like(d) if x0 is None else np.array(as_array(x0), dtype=float)
-    E = np.zeros_like(d) if e0 is None else np.array(as_array(e0), dtype=float)
-    _check_same_shape(d, X, E)
+    E = np.zeros_like(d)
+    _check_same_shape(d, X)
 
     alpha, beta = config.alpha, config.beta
     X_new, E_new = np.empty(d.shape), np.empty(d.shape)
@@ -598,10 +576,10 @@ def solve(D, config: SolverConfig, x0=None, e0=None) -> SolverResult:
     iterations = 0
     settle = 0
     with _Shares(*_tall(d)[0].shape) as shares:
-        # the first sweep's Gram matrix; from X = 0 its pass, which reads every block
-        # of d - E, sums the rest of the objective too, so ||X||_* needs no SVD
-        G, rr, l1 = shares.sum(_gram_share, *_tall(d, E), x0 is None)
-        F = float(0.5 * rr + beta * l1) if x0 is None else objective(d, X, E, alpha, beta)
+        # the first sweep's Gram matrix, that of d as E = 0; from X = 0 the same pass
+        # sums the objective too, so ||X||_* needs no SVD
+        G, rr = shares.sum(_gram_share, *_tall(d))
+        F = float(0.5 * rr) if x0 is None else objective(d, X, E, alpha, beta)
         trace = [F]
         for _ in range(config.max_iterations):
             iterations += 1

@@ -79,7 +79,8 @@ def parse_study(path, study_name: str | None = None) -> StudySummary:
 
 def _bulk_records(body, width, snp_col, p_col) -> dict[str, float] | None:
     """Records of a body the bulk split takes cleanly: every row `width`
-    fields, every p-value in (0, 1], no SNP twice. None otherwise."""
+    fields, every p-value in (0, 1], every SNP id non-empty and none twice.
+    None otherwise."""
     if body and not body.endswith("\n"):
         body += "\n"
     fields = _split_fields(body, width)
@@ -93,7 +94,7 @@ def _bulk_records(body, width, snp_col, p_col) -> dict[str, float] | None:
     if not np.all((p > 0.0) & (p <= 1.0)):   # NaN fails both
         return None
     records = dict(zip(map(str.strip, fields[snp_col::width]), p.tolist()))
-    return records if len(records) == n else None
+    return records if len(records) == n and "" not in records else None
 
 
 def _split_fields(text: str, width: int) -> list[str] | None:
@@ -127,6 +128,8 @@ def _scan_records(path, lines, snp_col, p_col) -> dict[str, float]:
         if len(fields) <= max(snp_col, p_col):
             raise SumstatsParseError(f"{path}:{lineno}: too few columns")
         snp = fields[snp_col].strip()
+        if not snp:
+            raise SumstatsParseError(f"{path}:{lineno}: empty SNP id")
         try:
             p = float(fields[p_col])
         except ValueError:
@@ -205,9 +208,9 @@ def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
 
 def read_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest of `study_name<TAB>path` lines; paths resolve relative
-    to the manifest's directory."""
+    to the manifest's directory. A study name may appear only once."""
     path = Path(path)
-    entries = []
+    entries, names = [], set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -219,6 +222,9 @@ def read_manifest(path) -> list[tuple[str, Path]]:
                     f"{path}:{lineno}: expected 'name<TAB>path', got {line!r}"
                 )
             name, rel = parts
+            if name in names:
+                raise SumstatsParseError(f"{path}:{lineno}: duplicate study name {name!r}")
+            names.add(name)
             entries.append((name, (path.parent / rel).resolve()))
     return entries
 

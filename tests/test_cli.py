@@ -246,6 +246,19 @@ class TestEvaluate:
                    "--truth", str(tmp_path / "b.tsv")])
         assert rc == 2
 
+    def test_x_and_e_shape_mismatch(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        write_tsv(DenseMatrix(rng.normal(size=(100, 50))), tmp_path / "X.tsv")
+        write_tsv(DenseMatrix(rng.normal(size=(1, 50))), tmp_path / "E1.tsv")
+        write_tsv(DenseMatrix(np.zeros((100, 50))), tmp_path / "truth.tsv")
+        x, e = tmp_path / "X.tsv", tmp_path / "E1.tsv"
+        rc = main(["evaluate", "--x", str(x), "--e", str(e), "--truth",
+                   str(tmp_path / "truth.tsv"), "--threshold", "0.5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {x} is 100 x 50 but {e} is 1 x 50\n"
+
     def test_missing_args(self, tmp_path, capsys):
         rc = main(["evaluate", "--truth", "x.tsv"])
         assert rc == 2
@@ -542,6 +555,17 @@ class TestAnalyze:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "nope.tsv" in capsys.readouterr().err
+
+    def test_duplicate_study_name_writes_nothing(self, tmp_path, capsys):
+        for name in ("s1", "s2"):
+            (tmp_path / f"{name}.tsv").write_text("snp\tp\nrs1\t0.5\nrs2\t1e-6\n")
+        mani = tmp_path / "studies.txt"
+        mani.write_text("s1\ts1.tsv\ns1\ts2.tsv\n")
+        out = tmp_path / "o"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{mani}:2: duplicate study name 's1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_error_names_study_and_line(self, tmp_path, capsys):
         (tmp_path / "s1.tsv").write_text("snp\tp\nrs1\t0\n")

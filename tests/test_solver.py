@@ -549,30 +549,28 @@ class TestSolve:
             )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("arg", ["D", "x0", "e0"])
+    @pytest.mark.parametrize("arg", ["D", "x0"])
     def test_rejects_nonfinite(self, arg, bad):
         D = np.ones((4, 3))
-        kwargs = dict(x0=None, e0=None)
+        x0 = None
         if arg == "D":
             D[1, 2] = bad
         else:
-            kwargs[arg] = np.zeros((4, 3))
-            kwargs[arg][0, 0] = bad
+            x0 = np.zeros((4, 3))
+            x0[0, 0] = bad
         with pytest.raises(ValueError, match=f"{arg} has NaN or Inf"):
-            solve(D, SolverConfig(alpha=1.0, beta=1.0), **kwargs)
+            solve(D, SolverConfig(alpha=1.0, beta=1.0), x0=x0)
 
-    @pytest.mark.parametrize("with_e0", [False, True])
-    def test_zero_start_objective_without_svd(self, with_e0, monkeypatch):
+    def test_zero_start_objective_without_svd(self, monkeypatch):
         rng = np.random.default_rng(9)
         D = rng.normal(size=(300, 6)) + 3 * np.outer(rng.normal(size=300), rng.normal(size=6))
-        E0 = soft_threshold(D, 2.0) if with_e0 else np.zeros_like(D)
         cfg = auto_config(D)
         svd, shapes = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
-        res = solve(D, cfg, e0=E0 if with_e0 else None)
+        res = solve(D, cfg)
         monkeypatch.undo()
         assert shapes == []
-        F0 = objective(D, np.zeros_like(D), E0, cfg.alpha, cfg.beta)
+        F0 = objective(D, np.zeros_like(D), np.zeros_like(D), cfg.alpha, cfg.beta)
         assert res.objective_trace[0] == pytest.approx(F0, rel=1e-12)
 
     def test_labels_propagate(self):
@@ -772,7 +770,7 @@ def test_only_the_first_sweep_takes_the_zero_start_sums(rows, shares, warm):
             mock.patch("lrsd.solver.objective", wraps=objective) as whole:
         res = solve(d, cfg, x0=np.zeros_like(d) if warm else None)
     # one Gram pass per solve; then one fused pass and one eigensolve per sweep
-    assert [c.args[-1] for c in gram.call_args_list] == [not warm] * shares
+    assert gram.call_count == shares
     assert sweep.call_count == res.iterations_used * shares
     assert eig.call_count == res.iterations_used
     assert whole.call_count == warm
@@ -868,7 +866,7 @@ def test_solve_joins_its_threads(fail_at):
         else:
             with pytest.raises(RuntimeError, match="shrink failed"):
                 solve(d, cfg)
-    assert started.called   # the pool starts its workers as it needs them, up to 3
+    assert started.called   # the pool starts its workers as it needs them, up to 4
     assert threading.active_count() == baseline
 
 

@@ -102,6 +102,18 @@ class TestParseStudy:
         path = _write(tmp_path, "a.tsv", ["rs1\t0.5", "rs2\t0.4", "rs1\t0.3"])
         assert self._error(path) == f"{path}:4: duplicate SNP id 'rs1'"
 
+    @pytest.mark.parametrize("rows", [
+        ["rs1\t0.5", "\t0.4", "rs3\t0.3"],             # bulk-shaped
+        ["rs1\t0.5", "  \t0.4", "rs3\t0.3"],
+        ["rs1\t0.5\textra", "\t0.4", "rs3\t0.3"],      # ragged: the line scan only
+    ], ids=["bulk", "bulk whitespace", "ragged"])
+    def test_empty_snp_id_names_line(self, tmp_path, rows):
+        path = _write(tmp_path, "a.tsv", rows)
+        assert self._error(path) == f"{path}:3: empty SNP id"
+
+    def test_bulk_refuses_empty_snp_id(self):
+        assert _bulk_records("rs1\t0.5\n \t0.4\n", 2, 0, 1) is None
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_bulk_matches_line_scan(self, data):
@@ -311,3 +323,11 @@ def test_write_panel_and_manifest(tmp_path):
     bad.write_text("just-one-field\n")
     with pytest.raises(SumstatsParseError):
         read_manifest(bad)
+
+
+def test_manifest_refuses_duplicate_study_name(tmp_path):
+    mani = tmp_path / "manifest.tsv"
+    mani.write_text("s1\ta.tsv\n# a comment\ns2\tb.tsv\ns1\tc.tsv\n")
+    with pytest.raises(SumstatsParseError) as exc:
+        read_manifest(mani)
+    assert str(exc.value) == f"{mani}:4: duplicate study name 's1'"
