@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 solver hit the iteration
 cap (outputs are still written).
+
+A command refuses bad input, a bad flag value or an unwritable output by
+raising `_Refusal` (through `_input` and `_output`); `main` alone turns a
+refusal into one `error:` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import argparse
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +24,8 @@ from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
-from .solver import (
-    DegenerateInputError,
-    SolverConfig,
-    auto_threshold,
-    estimate_sigma,
-    resolve_params,
-    solve,
-)
-from .sumstats import (
-    SumstatsParseError,
-    align,
-    parse_study,
-    read_manifest,
-    write_panel,
-)
+from .solver import SolverConfig, auto_threshold, estimate_sigma, resolve_params, solve
+from .sumstats import align, parse_study, read_manifest, write_panel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,9 +39,26 @@ def _write_manifest(path, entries: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def _cannot_write(exc: OSError, path) -> int:
-    print(f"error: cannot write {exc.filename or path}: {exc.strerror}", file=sys.stderr)
-    return EXIT_INPUT
+class _Refusal(Exception):
+    """Bad input, a bad flag value or an unwritable output; `main` prints it and exits 2."""
+
+
+@contextmanager
+def _input():
+    """Refuse with the message of an OSError or ValueError raised inside."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise _Refusal(str(exc)) from exc
+
+
+@contextmanager
+def _output(path):
+    """Refuse an OSError raised inside as `cannot write PATH: REASON`."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Refusal(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _peak_rss_mb() -> str:
@@ -77,22 +86,35 @@ class _Stages:
         return entries
 
 
+def _configure(D, args, **limits) -> tuple[SolverConfig, dict]:
+    """Resolve alpha, beta and T from the flags or the data, and check them;
+    bad values are refused before --out is touched."""
+    with _input():
+        alpha, beta, T, resolved = resolve_params(D, args.alpha, args.beta, args.threshold)
+        return SolverConfig(alpha=alpha, beta=beta, detection_threshold=T, **limits), resolved
+
+
+def _solve_and_write(D, config: SolverConfig, out: Path, stages: _Stages):
+    """Solve, charge it to the `solve` stage, then write X.tsv and E.tsv."""
+    result = solve(D, config)
+    stages.lap("solve")
+    with _output(out):
+        write_tsv(result.X_hat, out / "X.tsv")
+        write_tsv(result.E_hat, out / "E.tsv")
+    return result
+
+
 def cmd_simulate(args) -> int:
-    try:
+    with _input():
         spec = PatternSpec(
             pattern_id=args.pattern,
             signal_divisor=args.divisor,
             seed=args.seed,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     inst = generate(spec)
     out = Path(args.out)
-    try:
+    with _output(out):
         save_instance(inst, out)
-    except OSError as exc:
-        return _cannot_write(exc, out)
     print(f"pattern {args.pattern} divisor {args.divisor:g} seed {args.seed}: SNR = {inst.snr:.3f}")
     print(f"wrote {out}/data.tsv, truth.tsv, mask.tsv, meta.txt")
     return EXIT_OK
@@ -100,32 +122,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     stages = _Stages()
-    try:
+    with _input():
         D = read_tsv(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     stages.lap("read")
-    try:
-        alpha, beta, T, resolved = resolve_params(D, args.alpha, args.beta, args.threshold)
-        config = SolverConfig(
-            alpha=alpha,
-            beta=beta,
-            max_iterations=args.max_iter,
-            rel_tolerance=args.tol,
-            detection_threshold=T,
-        )
-    except (DegenerateInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config, resolved = _configure(D, args, max_iterations=args.max_iter, rel_tolerance=args.tol)
 
     out = Path(args.out)
-    try:  # an unwritable --out fails before the solve, not after it
+    with _output(out):  # an unwritable --out fails before the solve, not after it
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _cannot_write(exc, out)
-    result = solve(D, config)
-    stages.lap("solve")
+    result = _solve_and_write(D, config, out, stages)
     manifest = dict(
         subcommand="decompose",
         input=args.input,
@@ -137,9 +142,7 @@ def cmd_decompose(args) -> int:
         rank_of_X=result.rank_of_X,
         nnz_of_E=result.nnz_of_E,
     )
-    try:
-        write_tsv(result.X_hat, out / "X.tsv")
-        write_tsv(result.E_hat, out / "E.tsv")
+    with _output(out):
         with open(out / "trace.tsv", "w") as fh:
             fh.write("iteration\tobjective\n")
             for i, f in enumerate(result.objective_trace):
@@ -147,8 +150,6 @@ def cmd_decompose(args) -> int:
         stages.lap("write")
         manifest["peak_rss_mb"] = _peak_rss_mb()
         _write_manifest(out / "manifest.txt", manifest | stages.manifest())
-    except OSError as exc:
-        return _cannot_write(exc, out)
     print(
         f"iterations {result.iterations_used}, converged {result.converged}, "
         f"rank(X) {result.rank_of_X}, nnz(E) {result.nnz_of_E}"
@@ -157,19 +158,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:  # bad flag values fail before --out is touched
+    with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
-        if args.threshold is not None and not args.threshold >= 0:  # NaN fails too
-            raise ValueError(f"threshold must be >= 0, got {args.threshold!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.out:
-        try:  # an unwritable --out fails before the work, not after it
-            open(args.out, "w").close()
-        except OSError as exc:
-            return _cannot_write(exc, args.out)
+    if args.threshold is not None and not args.threshold >= 0:  # NaN fails too
+        raise _Refusal(f"threshold must be >= 0, got {args.threshold!r}")
     if args.benchmark:
+        if args.out:
+            with _output(args.out):  # the grid takes minutes: an unwritable --out fails first
+                open(args.out, "w").close()
         rows = benchmark(grid, args.seeds)
         if args.out:
             write_benchmark_tsv(rows, args.out)
@@ -181,9 +177,8 @@ def cmd_evaluate(args) -> int:
         return EXIT_OK
 
     if args.truth is None:
-        print("error: --truth is required unless --benchmark is given", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        raise _Refusal("--truth is required unless --benchmark is given")
+    with _input():
         truth = read_tsv(args.truth).values.astype(bool)
         if args.mask is not None:
             pred = read_tsv(args.mask).values.astype(bool)
@@ -199,84 +194,58 @@ def cmd_evaluate(args) -> int:
                 # the noise scale lives in the raw data, not in X or E
                 T = auto_threshold(estimate_sigma(read_tsv(args.input).values))
             else:
-                print(
-                    "error: give --threshold (e.g. from the decompose manifest) "
-                    "or --input to derive it from the data",
-                    file=sys.stderr,
-                )
-                return EXIT_INPUT
+                raise _Refusal("give --threshold (e.g. from the decompose manifest) "
+                               "or --input to derive it from the data")
             pred = (np.abs(X.values) > T) | (np.abs(E.values) > T)
         else:
-            print("error: give either --mask or both --x and --e", file=sys.stderr)
-            return EXIT_INPUT
+            raise _Refusal("give either --mask or both --x and --e")
         report = score(pred, truth)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    line = (
-        f"tp {report.tp}\tfp {report.fp}\tfn {report.fn}\ttn {report.tn}\t"
-        f"precision {report.precision:.4f}\trecall {report.recall:.4f}\tf1 {report.f1:.4f}"
-    )
-    print(line)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if args.out:  # written only once the inputs are read and scored
+        with _output(args.out), open(args.out, "w") as fh:
             fh.write("tp\tfp\tfn\ttn\tprecision\trecall\tf1\tdegenerate\n")
             fh.write(
                 f"{report.tp}\t{report.fp}\t{report.fn}\t{report.tn}\t"
                 f"{report.precision:.6f}\t{report.recall:.6f}\t{report.f1:.6f}\t"
                 f"{int(report.degenerate)}\n"
             )
+    print(
+        f"tp {report.tp}\tfp {report.fp}\tfn {report.fn}\ttn {report.tn}\t"
+        f"precision {report.precision:.4f}\trecall {report.recall:.4f}\tf1 {report.f1:.4f}"
+    )
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
     stages = _Stages()
-    try:
+    with _input():
         entries = read_manifest(args.manifest)
         studies = []
         for name, path in entries:
             if not Path(path).exists():
-                print(f"error: study {name}: missing file {path}", file=sys.stderr)
-                return EXIT_INPUT
+                raise _Refusal(f"study {name}: missing file {path}")
             studies.append(parse_study(path, name))
         stages.lap("parse")
         panel = align(studies, args.min_coverage)
-    except (OSError, SumstatsParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     del studies  # the parsed records are a run's largest objects; the panel holds what is used
     stages.lap("align")
-
-    try:  # bad parameters fail before --out is touched
-        alpha, beta, T, resolved = resolve_params(
-            panel.z_matrix, args.alpha, args.beta, args.threshold
-        )
-        config = SolverConfig(alpha=alpha, beta=beta, detection_threshold=T)
-    except (DegenerateInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config, resolved = _configure(panel.z_matrix, args)
     stages.lap("solve")
 
     out = Path(args.out)
-    try:  # an unwritable --out fails before the solve, not after it
+    with _output(out):  # an unwritable --out fails before the solve, not after it
         out.mkdir(parents=True, exist_ok=True)
         write_panel(panel, out / "z.tsv", out / "imputed_mask.tsv")
-    except OSError as exc:
-        return _cannot_write(exc, out)
     stages.lap("write")
-    result = solve(panel.z_matrix, config)
-    stages.lap("solve")
+    result = _solve_and_write(panel.z_matrix, config, out, stages)
+    stages.lap("write")
     r = min(args.embed_rank, result.rank_of_X)
-    try:
-        write_tsv(result.X_hat, out / "X.tsv")
-        write_tsv(result.E_hat, out / "E.tsv")
-        stages.lap("write")
+    with _output(out):
         if r >= 1:
             write_embedding_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
         else:
             print("note: recovered low-rank component is zero; no embedding written")
         n_shared, n_specific = write_snp_report(
-            result, out / "shared.tsv", out / "specific.tsv", T
+            result, out / "shared.tsv", out / "specific.tsv", config.detection_threshold
         )
         stages.lap("report")
         manifest = dict(
@@ -299,8 +268,6 @@ def cmd_analyze(args) -> int:
             **stages.manifest(),
         )
         _write_manifest(out / "manifest.txt", manifest)
-    except OSError as exc:
-        return _cannot_write(exc, out)
     print(
         f"{len(panel.snp_ids)} SNPs x {len(panel.study_names)} studies; "
         f"rank(X) {result.rank_of_X}, {n_shared} shared rows, "
@@ -317,6 +284,12 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _add_parameter_flags(parser: argparse.ArgumentParser) -> None:
+    """--alpha, --beta and --threshold: each taken from the data's rule when not given."""
+    for flag in ("--alpha", "--beta", "--threshold"):
+        parser.add_argument(flag, type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,11 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="decompose a matrix into X + E")
     p_dec.add_argument("--input", required=True)
-    p_dec.add_argument("--alpha", type=float, default=None)
-    p_dec.add_argument("--beta", type=float, default=None)
-    p_dec.add_argument("--threshold", type=float, default=None)
-    p_dec.add_argument("--tol", type=float, default=1e-7)
-    p_dec.add_argument("--max-iter", type=int, default=500)
+    _add_parameter_flags(p_dec)
+    p_dec.add_argument("--tol", type=float, default=SolverConfig.rel_tolerance)
+    p_dec.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations)
     p_dec.add_argument("--out", default="decomposition")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -363,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--manifest", required=True)
     p_an.add_argument("--min-coverage", type=int, required=True)
     p_an.add_argument("--embed-rank", type=_positive_int, default=3)
-    p_an.add_argument("--alpha", type=float, default=None)
-    p_an.add_argument("--beta", type=float, default=None)
-    p_an.add_argument("--threshold", type=float, default=None)
+    _add_parameter_flags(p_an)
     p_an.add_argument("--out", default="analysis")
     p_an.set_defaults(func=cmd_analyze)
     return parser
@@ -373,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -208,7 +208,8 @@ def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
 
 def read_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest of `study_name<TAB>path` lines; paths resolve relative
-    to the manifest's directory. A study name may appear only once."""
+    to the manifest's directory. A study name may appear only once, and
+    neither field may be empty or whitespace only."""
     path = Path(path)
     entries, names = [], set()
     with open(path) as fh:
@@ -222,6 +223,10 @@ def read_manifest(path) -> list[tuple[str, Path]]:
                     f"{path}:{lineno}: expected 'name<TAB>path', got {line!r}"
                 )
             name, rel = parts
+            if not name.strip():
+                raise SumstatsParseError(f"{path}:{lineno}: empty study name")
+            if not rel.strip():
+                raise SumstatsParseError(f"{path}:{lineno}: empty path for study {name!r}")
             if name in names:
                 raise SumstatsParseError(f"{path}:{lineno}: duplicate study name {name!r}")
             names.add(name)

@@ -308,6 +308,22 @@ class TestEvaluate:
         assert err in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("mask, out, err", [
+        ("missing.tsv", "rep.tsv", "error: [Errno 2] No such file or directory: '{mask}'\n"),
+        ("t.tsv", "missing/rep.tsv", "error: cannot write {out}: No such file or directory\n"),
+    ], ids=["missing mask", "unwritable out"])
+    def test_refusal_leaves_no_report(self, tmp_path, capsys, mask, out, err):
+        """The report is written only after the inputs are read and scored,
+        and the result line is printed only after the report is written."""
+        write_tsv(DenseMatrix(np.eye(3)), tmp_path / "t.tsv")
+        mask, out = tmp_path / mask, tmp_path / out
+        rc = main(["evaluate", "--mask", str(mask), "--truth", str(tmp_path / "t.tsv"),
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (err.format(mask=mask, out=out), "")
+        assert not out.exists()
+
     def test_xe_without_threshold_or_input(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
         rc = main(["evaluate", "--x", str(tmp_path / "m.tsv"),
@@ -556,15 +572,36 @@ class TestAnalyze:
         assert rc == 2
         assert "nope.tsv" in capsys.readouterr().err
 
-    def test_duplicate_study_name_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lines, coverage, named", [
+        pytest.param("s1\ts1.tsv\ns1\ts2.tsv\n", "1", "{mani}:2: duplicate study name 's1'",
+                     id="duplicate name"),
+        pytest.param(" \ts1.tsv\ns2\ts2.tsv\n", "1", "{mani}:1: empty study name",
+                     id="blank name"),
+        pytest.param("s1\ts1.tsv\ns2\t\n", "1", "{mani}:2: empty path for study 's2'",
+                     id="empty path"),
+        pytest.param("s1\ts1.tsv\ns2\tnope.tsv\n", "1", "study s2: missing file {dir}/nope.tsv",
+                     id="missing study file"),
+        pytest.param("s1\ts1.tsv\ns2\tbad.tsv\n", "1",
+                     "{dir}/bad.tsv:3: p-value 0.0 outside (0, 1]", id="study parse error"),
+        # the flag, not a file, is at fault: the message names the bad value and its range
+        pytest.param("s1\ts1.tsv\ns2\ts2.tsv\n", "0", "min coverage k=0 outside 1..2",
+                     id="coverage 0"),
+        pytest.param("s1\ts1.tsv\ns2\ts2.tsv\n", "3", "min coverage k=3 outside 1..2",
+                     id="coverage above studies"),
+    ])
+    def test_bad_study_input_writes_nothing(self, tmp_path, capsys, lines, coverage, named):
         for name in ("s1", "s2"):
             (tmp_path / f"{name}.tsv").write_text("snp\tp\nrs1\t0.5\nrs2\t1e-6\n")
+        (tmp_path / "bad.tsv").write_text("snp\tp\nrs1\t0.5\nrs2\t0\n")
         mani = tmp_path / "studies.txt"
-        mani.write_text("s1\ts1.tsv\ns1\ts2.tsv\n")
+        mani.write_text(lines)
         out = tmp_path / "o"
-        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "1", "--out", str(out)])
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", coverage,
+                   "--out", str(out)])
         assert rc == 2
-        assert f"{mani}:2: duplicate study name 's1'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        named = named.format(mani=mani, dir=tmp_path.resolve())
+        assert (captured.err, captured.out) == (f"error: {named}\n", "")
         assert not out.exists()
 
     def test_parse_error_names_study_and_line(self, tmp_path, capsys):
