@@ -10,8 +10,6 @@ from .solver import (
     SolverConfig,
     SolverResult,
     auto_config,
-    auto_threshold,
-    default_params,
     detect,
     estimate_sigma,
     objective,
@@ -36,10 +34,8 @@ __all__ = [
     "StudySummary",
     "align",
     "auto_config",
-    "auto_threshold",
     "benchmark",
     "compute_snr",
-    "default_params",
     "detect",
     "embed_studies",
     "estimate_sigma",

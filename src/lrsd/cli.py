@@ -24,8 +24,8 @@ from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
-from .solver import SolverConfig, auto_threshold, estimate_sigma, resolve_params, solve
-from .sumstats import align, parse_study, read_manifest, write_panel
+from .solver import SolverConfig, _check_threshold, resolve_params, solve
+from .sumstats import _check_coverage, align, parse_study, read_manifest, write_panel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -160,8 +160,8 @@ def cmd_decompose(args) -> int:
 def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
-    if args.threshold is not None and not args.threshold >= 0:  # NaN fails too
-        raise _Refusal(f"threshold must be >= 0, got {args.threshold!r}")
+        if args.threshold is not None:
+            _check_threshold(args.threshold)
     if args.benchmark:
         if args.out:
             with _output(args.out):  # the grid takes minutes: an unwritable --out fails first
@@ -188,14 +188,14 @@ def cmd_evaluate(args) -> int:
             if X.shape != E.shape:
                 raise ValueError(f"{args.x} is {X.shape[0]} x {X.shape[1]} but {args.e} "
                                  f"is {E.shape[0]} x {E.shape[1]}")
-            if args.threshold is not None:
-                T = args.threshold
-            elif args.input is not None:
+            T = args.threshold
+            if T is None:
+                if args.input is None:
+                    raise _Refusal("give --threshold (e.g. from the decompose manifest) "
+                                   "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
-                T = auto_threshold(estimate_sigma(read_tsv(args.input).values))
-            else:
-                raise _Refusal("give --threshold (e.g. from the decompose manifest) "
-                               "or --input to derive it from the data")
+                T = resolve_params(read_tsv(args.input))[2]
+                _check_threshold(T)
             pred = (np.abs(X.values) > T) | (np.abs(E.values) > T)
         else:
             raise _Refusal("give either --mask or both --x and --e")
@@ -219,6 +219,7 @@ def cmd_analyze(args) -> int:
     stages = _Stages()
     with _input():
         entries = read_manifest(args.manifest)
+        _check_coverage(args.min_coverage, len(entries))  # before any study is parsed
         studies = []
         for name, path in entries:
             if not Path(path).exists():

@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .matrix import DenseMatrix, as_array
-from .solver import SolverResult, numerical_rank
+from .solver import SolverResult, _check_threshold, numerical_rank
 
 _REPORT_BLOCK = 4096  # shared rows formatted per block
 
@@ -85,8 +85,7 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
     Both are sorted by descending magnitude, ties in row-major order.
     Returns the number of shared rows and of specific entries.
     """
-    if not T >= 0:  # NaN fails too
-        raise ValueError(f"threshold must be >= 0, got {T!r}")
+    _check_threshold(T)
     X, E = result.X_hat, result.E_hat
     snp_ids = _labels(X, 0, "row")
     studies = _labels(X, 1, "col")

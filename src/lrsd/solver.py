@@ -90,14 +90,21 @@ _MEDIAN_SAMPLE = 1 << 15     # entries sampled to bracket each median of estimat
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS")   # the BLAS's thread count, first set wins
 _RULE_TEXT = dict(           # provenance of a rule-derived value, as the manifest shows it
+    sigma_hat=f"{MAD_TO_SIGMA:g}*MAD",
     alpha="(sqrt(n)+sqrt(p))*sigma_hat",
-    beta="2*alpha/sqrt(max(n,p))",
-    threshold="0.3*sigma_hat",
+    beta=f"{BETA_RATIO:g}*alpha/sqrt(max(n,p))",
+    threshold=f"{DETECTION_SCALE:g}*sigma_hat",
 )
 
 
 class DegenerateInputError(ValueError):
     """Raised when auto-parameterization is impossible (e.g. constant input)."""
+
+
+def _check_threshold(T) -> None:
+    """Refuse a detection threshold T unless it is finite and >= 0 (NaN is refused)."""
+    if not 0 <= T < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +126,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.rel_tolerance < math.inf:
             raise ValueError(f"rel_tolerance must be finite and > 0, got {self.rel_tolerance!r}")
-        T = self.detection_threshold
-        if T != "auto" and not 0 <= T < math.inf:
-            raise ValueError(f"detection_threshold must be finite and >= 0 or 'auto', got {T!r}")
+        if self.detection_threshold != "auto":
+            _check_threshold(self.detection_threshold)
 
 
 @dataclass(frozen=True)
@@ -324,52 +330,40 @@ def _bracket_share(blocks, buf, at, med, lo, hi) -> tuple[int, int, list]:
     return ge, le, inside
 
 
-def default_params(n: int, p: int, sigma: float) -> tuple[float, float]:
-    """Default (alpha, beta) from the matrix shape and the noise scale.
-
-    alpha = (sqrt(n) + sqrt(p)) * sigma, the expected spectral norm of an
-    n x p Gaussian noise matrix; beta = 2*alpha/sqrt(m) with m the larger
-    dimension.
-    """
-    if n < 1 or p < 1:
-        raise ValueError("matrix dimensions must be >= 1")
-    if sigma <= 0:
-        raise DegenerateInputError(
-            "noise scale estimate is not positive; supply alpha and beta explicitly"
-        )
-    alpha = (math.sqrt(n) + math.sqrt(p)) * sigma
-    beta = BETA_RATIO * alpha / math.sqrt(max(n, p))
-    return alpha, beta
-
-
-def auto_threshold(sigma: float) -> float:
-    """Default detection threshold, proportional to the noise scale."""
-    if sigma <= 0:
-        raise DegenerateInputError("cannot derive a detection threshold from sigma <= 0")
-    return DETECTION_SCALE * sigma
-
-
 def resolve_params(
     D, alpha=None, beta=None, threshold=None
 ) -> tuple[float, float, float, dict[str, str]]:
     """Resolve (alpha, beta, T): given values are kept, missing ones follow the rules.
 
-    The noise scale is estimated only when a value is missing. A missing
+    Each rule is a multiple of the noise scale sigma_hat (`estimate_sigma`),
+    which is estimated only when a value is missing. For an n x p matrix:
+    alpha = (sqrt(n) + sqrt(p)) * sigma_hat, the expected spectral norm of
+    an n x p Gaussian noise matrix; beta = BETA_RATIO * alpha / sqrt(m),
+    with m the larger dimension; T = DETECTION_SCALE * sigma_hat. A missing
     beta follows the rule alpha even when alpha itself is given; its
     provenance then names that rule alpha. Returns alpha, beta, T and the
     provenance of each value as manifest text, keyed sigma_hat (present only
-    when estimated), alpha, beta, threshold.
+    when estimated), alpha, beta, threshold. Raises DegenerateInputError
+    when a value is missing and sigma_hat is not positive (constant input).
     """
     a = as_array(D)
     given = dict(alpha=alpha, beta=beta, threshold=threshold)
-    provenance, rules = {}, {}
+    provenance = {}
     if None in given.values():
         sigma = estimate_sigma(a)
-        provenance["sigma_hat"] = f"{sigma!r} (rule: 1.48*MAD)"
-    if alpha is None or beta is None:
-        rules["alpha"], rules["beta"] = default_params(a.shape[0], a.shape[1], sigma)
-    if threshold is None:
-        rules["threshold"] = auto_threshold(sigma)
+        if sigma <= 0:
+            raise DegenerateInputError(
+                "noise scale estimate is not positive, so no rule can derive alpha and beta "
+                "or the threshold; supply them explicitly"
+            )
+        provenance["sigma_hat"] = f"{sigma!r} (rule: {_RULE_TEXT['sigma_hat']})"
+        n, p = a.shape
+        rule_alpha = (math.sqrt(n) + math.sqrt(p)) * sigma
+        rules = dict(
+            alpha=rule_alpha,
+            beta=BETA_RATIO * rule_alpha / math.sqrt(max(n, p)),
+            threshold=DETECTION_SCALE * sigma,
+        )
     for name, value in given.items():
         if value is None:
             given[name] = rules[name]
@@ -647,6 +641,5 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
 
 def detect(result: SolverResult, T: float) -> np.ndarray:
     """Boolean mask of entries reported as signal: |X| > T or |E| > T."""
-    if not T >= 0:  # NaN fails too
-        raise ValueError(f"detection threshold must be >= 0, got {T!r}")
+    _check_threshold(T)
     return (np.abs(result.X_hat.values) > T) | (np.abs(result.E_hat.values) > T)

@@ -146,14 +146,19 @@ def _scan_records(path, lines, snp_col, p_col) -> dict[str, float]:
     return records
 
 
+def _check_coverage(k: int, n_studies: int) -> None:
+    """Refuse a minimum coverage k outside 1..n_studies."""
+    if not 1 <= k <= n_studies:
+        raise ValueError(f"min coverage k={k} outside 1..{n_studies}")
+
+
 def align(studies: list[StudySummary], k: int) -> AlignedPanel:
     """Intersect studies on SNPs covered by >= k of them and build z-scores.
 
     Missing entries are imputed at p = 0.5 (z = 0 exactly) and flagged in
     imputed_mask. SNPs are ordered lexicographically for determinism.
     """
-    if not 1 <= k <= len(studies):
-        raise ValueError(f"min coverage k={k} outside 1..{len(studies)}")
+    _check_coverage(k, len(studies))
     coverage: Counter[str] = Counter()
     for st in studies:
         coverage.update(st.records.keys())
@@ -208,8 +213,9 @@ def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
 
 def read_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest of `study_name<TAB>path` lines; paths resolve relative
-    to the manifest's directory. A study name may appear only once, and
-    neither field may be empty or whitespace only."""
+    to the manifest's directory. A study name may appear only once, also
+    when surrounding whitespace is ignored, and neither field may be empty
+    or whitespace only."""
     path = Path(path)
     entries, names = [], set()
     with open(path) as fh:
@@ -227,9 +233,9 @@ def read_manifest(path) -> list[tuple[str, Path]]:
                 raise SumstatsParseError(f"{path}:{lineno}: empty study name")
             if not rel.strip():
                 raise SumstatsParseError(f"{path}:{lineno}: empty path for study {name!r}")
-            if name in names:
+            if name.strip() in names:
                 raise SumstatsParseError(f"{path}:{lineno}: duplicate study name {name!r}")
-            names.add(name)
+            names.add(name.strip())
             entries.append((name, (path.parent / rel).resolve()))
     return entries
 

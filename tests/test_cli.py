@@ -3,16 +3,18 @@ import hashlib
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
 
-from lrsd import matrix
+from lrsd import cli, matrix
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, read_tsv, write_tsv
 from lrsd.metrics import score
+from lrsd.reporting import write_snp_report
 from lrsd.simulate import PatternSpec, generate
-from lrsd.solver import auto_config, detect, solve
+from lrsd.solver import SolverConfig, auto_config, detect, solve
 
 
 def _read_manifest(path):
@@ -106,7 +108,7 @@ class TestDecompose:
         ("--alpha", "nan", "alpha and beta"),
         ("--alpha", "inf", "alpha and beta"),
         ("--tol", "nan", "rel_tolerance"),
-        ("--threshold", "nan", "detection_threshold"),
+        ("--threshold", "nan", "threshold"),
     ])
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, flag, value, named):
         src = tmp_path / "m.tsv"
@@ -289,8 +291,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags, err", [
         (["--benchmark", "--seeds", "0"], "argument --seeds: expected an integer >= 1, got '0'"),
         (["--benchmark", "--seed", "-1"], "error: seed must be >= 0, got -1\n"),
-        (["--threshold", "-1"], "error: threshold must be >= 0, got -1.0\n"),
-        (["--threshold", "nan"], "error: threshold must be >= 0, got nan\n"),
+        (["--threshold", "-1"], "error: threshold must be finite and >= 0, got -1.0\n"),
+        (["--threshold", "nan"], "error: threshold must be finite and >= 0, got nan\n"),
     ], ids=["seeds 0", "seed -1", "threshold -1", "threshold nan"])
     def test_bad_input_exits_2(self, tmp_path, capsys, flags, err):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
@@ -331,6 +333,49 @@ class TestEvaluate:
                    "--truth", str(tmp_path / "m.tsv")])
         assert rc == 2
         assert "--threshold" in capsys.readouterr().err
+
+    def test_rule_threshold_checked(self, tmp_path, capsys):
+        """A rule T from --input is checked as a flag is: here sigma_hat overflows to inf."""
+        write_tsv(DenseMatrix(np.array([[-1.5e308, 0.0, 1.5e308]])), tmp_path / "d.tsv")
+        write_tsv(DenseMatrix(np.zeros((1, 3))), tmp_path / "m.tsv")
+        m = str(tmp_path / "m.tsv")
+        rc = main(["evaluate", "--x", m, "--e", m, "--truth", m,
+                   "--input", str(tmp_path / "d.tsv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (
+            "error: threshold must be finite and >= 0, got inf\n", "")
+
+
+@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf, 0.0], ids=["-1", "nan", "inf", "0"])
+@pytest.mark.parametrize("entry", ["SolverConfig", "detect", "write_snp_report",
+                                   "lrsd evaluate --threshold"])
+def test_one_threshold_check(tmp_path, capsys, entry, T):
+    """Every entry point that takes a detection threshold T refuses one that
+    is not finite and >= 0 with the same message, and accepts 0."""
+    result = solve(np.eye(3), SolverConfig(alpha=1.0, beta=1.0))
+    write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
+    m = str(tmp_path / "m.tsv")
+    call = {
+        "SolverConfig": lambda: SolverConfig(alpha=1.0, beta=1.0, detection_threshold=T),
+        "detect": lambda: detect(result, T),
+        "write_snp_report": lambda: write_snp_report(
+            result, tmp_path / "shared.tsv", tmp_path / "specific.tsv", T),
+        "lrsd evaluate --threshold": lambda: main(
+            ["evaluate", "--x", m, "--e", m, "--truth", m, f"--threshold={T!r}"]),
+    }[entry]
+    message = f"threshold must be finite and >= 0, got {T!r}"
+    if T == 0.0:   # accepted: nothing is raised, and evaluate exits 0
+        outcome = call()
+        if entry.startswith("lrsd"):
+            assert outcome == 0
+    elif entry.startswith("lrsd"):
+        assert call() == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {message}\n", "")
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestPipelineComposition:
@@ -509,7 +554,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flag, value, named", [
         ("--alpha", "nan", "alpha and beta"),
         ("--beta", "inf", "alpha and beta"),
-        ("--threshold", "nan", "detection_threshold"),
+        ("--threshold", "nan", "threshold"),
     ])
     def test_non_finite_parameter_writes_nothing(self, tmp_path, capsys, flag, value, named):
         mani = _golden_manifest(tmp_path)
@@ -575,6 +620,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("lines, coverage, named", [
         pytest.param("s1\ts1.tsv\ns1\ts2.tsv\n", "1", "{mani}:2: duplicate study name 's1'",
                      id="duplicate name"),
+        pytest.param("s1\ts1.tsv\ns1 \ts2.tsv\n", "1", "{mani}:2: duplicate study name 's1 '",
+                     id="duplicate name but for whitespace"),
         pytest.param(" \ts1.tsv\ns2\ts2.tsv\n", "1", "{mani}:1: empty study name",
                      id="blank name"),
         pytest.param("s1\ts1.tsv\ns2\t\n", "1", "{mani}:2: empty path for study 's2'",
@@ -602,6 +649,22 @@ class TestAnalyze:
         captured = capsys.readouterr()
         named = named.format(mani=mani, dir=tmp_path.resolve())
         assert (captured.err, captured.out) == (f"error: {named}\n", "")
+        assert not out.exists()
+
+    def test_coverage_refused_before_any_parse(self, tmp_path, capsys, monkeypatch):
+        """A --min-coverage above the study count is refused as soon as the
+        manifest is read: no study is parsed, so a missing file goes unnamed."""
+        (tmp_path / "s1.tsv").write_text("snp\tp\nrs1\t0.5\n")
+        mani = tmp_path / "studies.txt"
+        mani.write_text("s1\ts1.tsv\ns2\tnope.tsv\n")
+        parsed = []
+        monkeypatch.setattr(cli, "parse_study", lambda *args: parsed.append(args))
+        out = tmp_path / "o"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "3", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == ("error: min coverage k=3 outside 1..2\n", "")
+        assert parsed == []
         assert not out.exists()
 
     def test_parse_error_names_study_and_line(self, tmp_path, capsys):

@@ -172,7 +172,7 @@ class TestExtractSnps:
     def test_negative_threshold(self, tmp_path):
         res = _result(np.zeros((1, 1)), np.zeros((1, 1)))
         for T in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="threshold must be >= 0"):
+            with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
                 write_snp_report(res, tmp_path / "shared.tsv", tmp_path / "specific.tsv", T)
             assert list(tmp_path.iterdir()) == []   # raised before either file exists
 

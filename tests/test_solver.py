@@ -22,12 +22,12 @@ from lrsd.solver import (
     DegenerateInputError,
     SolverConfig,
     auto_config,
-    default_params,
     detect,
     estimate_sigma,
     numerical_rank,
     objective,
     optimality_residual,
+    resolve_params,
     soft_threshold,
     solve,
     svt,
@@ -435,18 +435,26 @@ class TestSigmaAndParams:
         assert 1.8 <= estimate_sigma(d) <= 2.2
 
     def test_default_params_examples(self):
-        a, b = default_params(100, 50, 1.0)
+        def rule_params(n, p, sigma):
+            """The rule alpha, beta and T of an n x p matrix whose sigma_hat is sigma."""
+            with mock.patch.object(solver, "estimate_sigma", return_value=sigma):
+                return resolve_params(np.broadcast_to(0.0, (n, p)))[:3]
+
+        a, b, T = rule_params(100, 50, 1.0)
         assert a == pytest.approx(17.0711, abs=1e-4)
         assert b == pytest.approx(3.41421, abs=1e-4)
-        a, b = default_params(4, 4, 0.5)
+        assert T == pytest.approx(0.3)
+        a, b, _ = rule_params(4, 4, 0.5)
         assert (a, b) == (pytest.approx(2.0), pytest.approx(2.0))
-        a, b = default_params(32, 466423, 1.0)
+        a, b, _ = rule_params(32, 466423, 1.0)
         assert a == pytest.approx(688.61, abs=0.01)
         assert b == pytest.approx(2.0166, abs=1e-3)
 
     def test_sigma_zero_errors(self):
-        with pytest.raises(DegenerateInputError):
-            default_params(10, 10, 0.0)
+        # with alpha and beta given, the rule T alone still needs a positive sigma_hat
+        for given in ({}, dict(alpha=1.0), dict(alpha=1.0, beta=1.0), dict(threshold=0.5)):
+            with pytest.raises(DegenerateInputError, match="alpha and beta"):
+                resolve_params(np.full((10, 10), 3.0), **given)
 
 
 class TestSolverConfig:
@@ -680,7 +688,8 @@ def blocked_solve_cases(draw, blocks=None):
     short = draw(st.integers(1, min(long, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = 10.0 ** draw(st.floats(-2, 2))
-    alpha, beta = default_params(long, short, sigma)
+    alpha = (math.sqrt(long) + math.sqrt(short)) * sigma
+    beta = 2.0 * alpha / math.sqrt(long)
     rank = draw(st.integers(0, short))
     d = sigma * rng.normal(size=(long, short))
     d += (rng.normal(size=(long, rank)) * alpha * rng.uniform(0.5, 10, rank)) @ (
@@ -929,7 +938,7 @@ class TestDetect:
     def test_negative_threshold(self):
         res = solve(np.zeros((2, 2)), SolverConfig(alpha=1.0, beta=1.0))
         for T in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="threshold must be >= 0"):
+            with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
                 detect(res, T)
 
 
