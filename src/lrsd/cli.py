@@ -17,14 +17,12 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
-from .solver import SolverConfig, _check_threshold, resolve_params, solve
+from .solver import SolverConfig, _calls, _check_threshold, resolve_params, solve
 from .sumstats import _check_coverage, align, parse_study, read_manifest, write_panel
 
 EXIT_OK = 0
@@ -195,8 +193,8 @@ def cmd_evaluate(args) -> int:
                                    "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
                 T = resolve_params(read_tsv(args.input))[2]
-                _check_threshold(T)
-            pred = (np.abs(X.values) > T) | (np.abs(E.values) > T)
+            x_calls, e_calls = _calls(X.values, E.values, T)
+            pred = x_calls | e_calls
         else:
             raise _Refusal("give either --mask or both --x and --e")
         report = score(pred, truth)

@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .matrix import DenseMatrix, as_array
-from .solver import SolverResult, _check_threshold, numerical_rank
+from .solver import SolverResult, _calls, numerical_rank
 
 _REPORT_BLOCK = 4096  # shared rows formatted per block
 
@@ -77,22 +77,21 @@ def write_embedding_tsv(embedding: StudyEmbedding, path) -> None:
 
 
 def write_snp_report(result: SolverResult, shared_path, specific_path, T: float) -> tuple[int, int]:
-    """Write the shared and study-specific SNP calls above a magnitude threshold.
+    """Write the shared and study-specific SNP calls of `solver._calls` at threshold T.
 
-    `shared_path` gets one line per row of the low-rank component whose
-    largest absolute entry exceeds T, with the studies and values over T;
-    `specific_path` gets one line per sparse-component entry exceeding T.
+    `shared_path` gets one line per row with a call in the low-rank
+    component (|X| > T), with the studies and values called; `specific_path`
+    gets one line per call in the sparse component (|E| > T).
     Both are sorted by descending magnitude, ties in row-major order.
     Returns the number of shared rows and of specific entries.
     """
-    _check_threshold(T)
     X, E = result.X_hat, result.E_hat
+    x_calls, e_calls = _calls(X.values, E.values, T)
     snp_ids = _labels(X, 0, "row")
     studies = _labels(X, 1, "col")
 
-    absX = np.abs(X.values)
-    row_max = absX.max(axis=1)
-    rows = np.flatnonzero(row_max > T)
+    row_max = np.abs(X.values).max(axis=1)  # the max_magnitude column and the sort key
+    rows = np.flatnonzero(x_calls.any(axis=1))
     rows = rows[np.argsort(-row_max[rows], kind="stable")]
     with open(shared_path, "w") as fh:
         fh.write("snp\tmax_magnitude\tstudies\tmagnitudes\n")
@@ -101,7 +100,7 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
             for i, row, over, peak in zip(
                 block.tolist(),
                 X.values[block].tolist(),
-                (absX[block] > T).tolist(),
+                x_calls[block].tolist(),
                 row_max[block].tolist(),
             ):
                 magnitudes = tuple(compress(row, over))
@@ -111,7 +110,7 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
                     + ",".join(["%.6g"] * len(magnitudes)) % magnitudes + "\n"
                 )
 
-    ii, jj = np.nonzero(np.abs(E.values) > T)
+    ii, jj = np.nonzero(e_calls)
     values = E.values[ii, jj]
     order = np.argsort(-np.abs(values), kind="stable")
     with open(specific_path, "w") as fh:

@@ -69,6 +69,7 @@ and a larger one to round-off.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -102,8 +103,9 @@ class DegenerateInputError(ValueError):
 
 
 def _check_threshold(T) -> None:
-    """Refuse a detection threshold T unless it is finite and >= 0 (NaN is refused)."""
-    if not 0 <= T < math.inf:
+    """Refuse a detection threshold T unless it is a real number, finite and >= 0
+    (NaN, a string and None are refused)."""
+    if not (isinstance(T, numbers.Real) and 0 <= T < math.inf):
         raise ValueError(f"threshold must be finite and >= 0, got {T!r}")
 
 
@@ -639,7 +641,14 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
     return float(max(terms))
 
 
+def _calls(X: np.ndarray, E: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
+    """The call rule, after checking T: the masks |X| > T (shared calls, from
+    the low-rank part) and |E| > T (study-specific calls, from the sparse
+    part). `detect`, the SNP report and `lrsd evaluate` all call through it."""
+    _check_threshold(T)
+    return np.abs(X) > T, np.abs(E) > T
+
+
 def detect(result: SolverResult, T: float) -> np.ndarray:
     """Boolean mask of entries reported as signal: |X| > T or |E| > T."""
-    _check_threshold(T)
-    return (np.abs(result.X_hat.values) > T) | (np.abs(result.E_hat.values) > T)
+    return np.logical_or(*_calls(result.X_hat.values, result.E_hat.values, T))

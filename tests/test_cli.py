@@ -347,12 +347,21 @@ class TestEvaluate:
             "error: threshold must be finite and >= 0, got inf\n", "")
 
 
-@pytest.mark.parametrize("T", [-1.0, math.nan, math.inf, 0.0], ids=["-1", "nan", "inf", "0"])
-@pytest.mark.parametrize("entry", ["SolverConfig", "detect", "write_snp_report",
-                                   "lrsd evaluate --threshold"])
+_THRESHOLD_CASES = [
+    pytest.param(entry, T, id=f"{entry}-{name}")
+    for entry in ("SolverConfig", "detect", "lrsd evaluate --threshold", "write_snp_report")
+    for T, name in [(-1.0, "-1"), (0.0, "0"), (math.inf, "inf"), (math.nan, "nan")]
+] + [  # not a number: the flag's parser refuses these, and SolverConfig keeps "auto"
+    pytest.param(entry, T, id=f"{entry}-{T}")
+    for entry, T in [("SolverConfig", None), ("detect", "auto"), ("detect", None),
+                     ("write_snp_report", "auto"), ("write_snp_report", None)]
+]
+
+
+@pytest.mark.parametrize("entry, T", _THRESHOLD_CASES)
 def test_one_threshold_check(tmp_path, capsys, entry, T):
     """Every entry point that takes a detection threshold T refuses one that
-    is not finite and >= 0 with the same message, and accepts 0."""
+    is not a finite number >= 0 with the same message, and accepts 0."""
     result = solve(np.eye(3), SolverConfig(alpha=1.0, beta=1.0))
     write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
     m = str(tmp_path / "m.tsv")

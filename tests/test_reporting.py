@@ -1,3 +1,6 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -7,14 +10,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrsd import reporting
-from lrsd.matrix import DenseMatrix
+from lrsd.cli import main
+from lrsd.matrix import DenseMatrix, write_tsv
 from lrsd.reporting import (
     embed_studies,
     single_linkage_groups,
     write_embedding_tsv,
     write_snp_report,
 )
-from lrsd.solver import SolverResult
+from lrsd.solver import SolverResult, detect
 
 
 class TestEmbedStudies:
@@ -245,6 +249,52 @@ def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T, label
     assert counts == (len(shared), len(specific))
     assert (d / "shared.tsv").read_bytes() == (d / "shared_ref.tsv").read_bytes()
     assert (d / "specific.tsv").read_bytes() == (d / "specific_ref.tsv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=tied),
+    arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=tied),
+    tied,
+)
+def test_every_consumer_makes_the_same_calls(tmp_path_factory, X, E, T):
+    """shared.tsv, specific.tsv, `detect` and `lrsd evaluate --x --e` call the
+    same entries: |X| > T and |E| > T, with entries equal to T, zeros of
+    either sign and negatives; a negative T is refused by all alike."""
+    E = np.resize(E, X.shape)
+    rows = tuple(f"rs{i}" for i in range(X.shape[0]))
+    cols = tuple(f"s{j}" for j in range(X.shape[1]))
+    result = _result(X, E, rows, cols)
+    d = tmp_path_factory.mktemp("calls")
+    for name, m in (("X", X), ("E", E)):
+        write_tsv(DenseMatrix(m), d / f"{name}.tsv")
+    evaluate = ["evaluate", "--x", str(d / "X.tsv"), "--e", str(d / "E.tsv"),
+                "--truth", str(d / "truth.tsv"), f"--threshold={T!r}"]
+    if T < 0:
+        message = f"threshold must be finite and >= 0, got {T!r}"
+        for call in (lambda: detect(result, T), lambda: _report(result, T, d)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        with redirect_stderr(io.StringIO()) as err:
+            assert main(evaluate) == 2
+        assert err.getvalue() == f"error: {message}\n"
+        return
+
+    def cells(mask):
+        return {(rows[i], cols[j]) for i, j in zip(*np.nonzero(mask))}
+
+    shared, specific = _report(result, T, d)
+    x_calls = {(snp, study) for snp, _, called, _ in shared for study in called.split(",")}
+    e_calls = {(snp, study) for snp, study, _ in specific}
+    assert x_calls == cells(np.abs(X) > T)
+    assert e_calls == cells(np.abs(E) > T)
+    mask = detect(result, T)
+    assert x_calls | e_calls == cells(mask)
+
+    write_tsv(DenseMatrix(mask.astype(float)), d / "truth.tsv")
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(evaluate) == 0
+    assert "\tfp 0\tfn 0\t" in out.getvalue()
 
 
 def test_writers(tmp_path):
