@@ -155,6 +155,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _read_mask(path):
+    """A matrix TSV of 0/1 entries as a boolean mask; any other entry is refused."""
+    values = read_tsv(path).values
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise ValueError(f"{path}: mask entries must be 0 or 1, got {float(bad[0])!r}")
+    return values == 1
+
+
 def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
@@ -177,9 +186,9 @@ def cmd_evaluate(args) -> int:
     if args.truth is None:
         raise _Refusal("--truth is required unless --benchmark is given")
     with _input():
-        truth = read_tsv(args.truth).values.astype(bool)
+        truth = _read_mask(args.truth)
         if args.mask is not None:
-            pred = read_tsv(args.mask).values.astype(bool)
+            pred = _read_mask(args.mask)
         elif args.x is not None and args.e is not None:
             X = read_tsv(args.x)
             E = read_tsv(args.e)

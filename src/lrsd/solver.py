@@ -543,8 +543,11 @@ def _tall(*arrays) -> list[np.ndarray]:
 
 
 def solve(D, config: SolverConfig, x0=None) -> SolverResult:
-    """Alternate SVT and soft-thresholding from E = 0 and X = 0 (or x0) until convergence.
+    """Alternate SVT and soft-thresholding from E = 0 until convergence.
 
+    E is the whole iterate: each sweep's SVT step reads only D - E, so X is
+    scratch that the sweep overwrites. x0, when given, sets only trace[0],
+    as objective(D, x0, 0); the sweeps start from E = 0 whatever it is.
     Convergence: relative objective decrease below config.rel_tolerance.
     A couple of extra sweeps are run after the criterion first fires so the
     returned pair also satisfies the first-order optimality conditions
@@ -562,37 +565,28 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
     labels = {}
     if isinstance(D, DenseMatrix):
         labels = dict(row_labels=D.row_labels, col_labels=D.col_labels)
-    X = np.zeros_like(d) if x0 is None else np.array(as_array(x0), dtype=float)
-    E = np.zeros_like(d)
-    _check_same_shape(d, X)
+    if x0 is not None:
+        _check_same_shape(d, as_array(x0))
 
     alpha, beta = config.alpha, config.beta
-    X_new, E_new = np.empty(d.shape), np.empty(d.shape)
-    converged = False
-    iterations = 0
+    X, E, E_new = np.empty(d.shape), np.zeros_like(d), np.empty(d.shape)
     settle = 0
     with _Shares(*_tall(d)[0].shape) as shares:
         # the first sweep's Gram matrix, that of d as E = 0; from X = 0 the same pass
         # sums the objective too, so ||X||_* needs no SVD
         G, rr = shares.sum(_gram_share, *_tall(d))
-        F = float(0.5 * rr) if x0 is None else objective(d, X, E, alpha, beta)
+        F = float(0.5 * rr) if x0 is None else objective(d, x0, E, alpha, beta)
         trace = [F]
         for _ in range(config.max_iterations):
-            iterations += 1
-            F_new, s_thr, G = _sweep(G, d, E, X_new, E_new, alpha, beta, shares)
-            X, X_new = X_new, X
+            F_new, s_thr, G = _sweep(G, d, E, X, E_new, alpha, beta, shares)
             E, E_new = E_new, E
             trace.append(F_new)
             if (F - F_new) / max(F, 1.0) < config.rel_tolerance:
-                converged = True
                 settle += 1
-                # a sweep that reproduced its input exactly has nothing left to polish
-                if settle > _POLISH_ITERS or (
-                    np.array_equal(X, X_new) and np.array_equal(E, E_new)
-                ):
+                # a sweep that gave E back exactly would give back X and E again
+                if settle > _POLISH_ITERS or np.array_equal(E, E_new):
                     break
             else:
-                converged = False
                 settle = 0
             F = F_new
 
@@ -600,8 +594,8 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
         X_hat=DenseMatrix(X, **labels),
         E_hat=DenseMatrix(E, **labels),
         objective_trace=tuple(trace),
-        iterations_used=iterations,
-        converged=converged,
+        iterations_used=len(trace) - 1,
+        converged=settle > 0,
         rank_of_X=numerical_rank(s_thr),
         nnz_of_E=int(np.count_nonzero(E)),
     )

@@ -19,7 +19,6 @@ from scipy import special
 from .matrix import DenseMatrix, write_tsv
 
 P_CLAMP = 1e-300   # smaller p-values are clamped here (z ~ 37) and counted
-IMPUTED_P = 0.5    # null p-value used for missing (snp, study) entries
 
 
 class SumstatsParseError(ValueError):

@@ -326,6 +326,21 @@ class TestEvaluate:
         assert (captured.err, captured.out) == (err.format(mask=mask, out=out), "")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mask", "--truth"])
+    def test_mask_entries_other_than_0_and_1_refused(self, tmp_path, capsys, flag):
+        write_tsv(DenseMatrix(np.eye(2)), tmp_path / "good.tsv")
+        bad = tmp_path / "bad.tsv"
+        write_tsv(DenseMatrix(np.array([[1.0, 0.5], [2.0, 0.0]])), bad)
+        files = {"--mask": tmp_path / "good.tsv", "--truth": tmp_path / "good.tsv", flag: bad}
+        out = tmp_path / "rep.tsv"
+        rc = main(["evaluate", "--mask", str(files["--mask"]), "--truth", str(files["--truth"]),
+                   "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (
+            f"error: {bad}: mask entries must be 0 or 1, got 0.5\n", "")
+        assert not out.exists()
+
     def test_xe_without_threshold_or_input(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
         rc = main(["evaluate", "--x", str(tmp_path / "m.tsv"),

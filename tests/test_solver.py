@@ -266,6 +266,14 @@ class TestSoftThreshold:
         assert out == pytest.approx(np.sign(m) * max(abs(m) - beta, 0.0), abs=1e-12)
 
 
+def _tall_panel():
+    """A 20,000 x 32 rank-one signal plus noise: 20 row blocks of the sweep."""
+    rng = np.random.default_rng(13)
+    D = rng.normal(size=(20_000, 32))
+    D += 3 * np.outer(rng.normal(size=20_000), rng.normal(size=32))
+    return D
+
+
 class TestSigmaAndParams:
     def test_constant_matrix_zero(self):
         assert estimate_sigma(np.full((3, 3), 4.0)) == 0.0
@@ -416,9 +424,7 @@ class TestSigmaAndParams:
 
     def test_estimate_sigma_memory_bounded(self):
         # no copy of the input: the sample, the gathered bracket and the block buffers only
-        rng = np.random.default_rng(13)
-        D = rng.normal(size=(20_000, 32))
-        D += 3 * np.outer(rng.normal(size=20_000), rng.normal(size=32))
+        D = _tall_panel()
         with mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)):
             tracemalloc.start()
             try:
@@ -581,6 +587,38 @@ class TestSolve:
         F0 = objective(D, np.zeros_like(D), np.zeros_like(D), cfg.alpha, cfg.beta)
         assert res.objective_trace[0] == pytest.approx(F0, rel=1e-12)
 
+    def test_solve_memory_bounded(self):
+        # three n x p arrays: the scratch X, E and the next E; then block buffers only
+        D = _tall_panel()
+        cfg = auto_config(D)
+        with mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)):
+            tracemalloc.start()
+            try:
+                res = solve(D, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.converged
+        assert peak <= 3.5 * D.nbytes
+
+    def test_exit_when_a_sweep_gives_e_back(self):
+        # acceptance criterion 7's draw 27: E stays 0, so the first sweep, where the
+        # objective criterion fires, already returns what every later sweep would
+        rng = np.random.default_rng(7)
+        for _ in range(28):
+            D = rng.normal(size=(30, 20)) * rng.uniform(0.5, 3)
+        cfg = auto_config(D)
+        res = solve(D, cfg)
+        X, E = res.X_hat.values, res.E_hat.values
+        assert res.iterations_used == 1 and res.converged
+        assert not E.any()
+        X_next, E_next = np.empty(D.shape), np.empty(D.shape)
+        with solver._Shares(*solver._tall(D)[0].shape) as shares:
+            G, _ = shares.sum(solver._gram_share, *solver._tall(D - E))
+            F, _, _ = solver._sweep(G, D, E, X_next, E_next, cfg.alpha, cfg.beta, shares)
+        assert np.array_equal(X_next, X) and np.array_equal(E_next, E)
+        assert F == res.objective_trace[-1]
+
     def test_labels_propagate(self):
         D = DenseMatrix(np.zeros((2, 2)), row_labels=("a", "b"), col_labels=("x", "y"))
         res = solve(D, SolverConfig(alpha=1.0, beta=1.0))
@@ -601,7 +639,7 @@ def _whole_matrix_solve(d, cfg):
         l1 = _shrink(R, cfg.beta, E_new)
         R -= E_new
         F_new = float(0.5 * np.vdot(R, R) + cfg.alpha * s_thr.sum() + cfg.beta * l1)
-        stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
+        stalled = np.array_equal(E_new, E)
         X, X_new = X_new, X
         E, E_new = E_new, E
         trace.append(F_new)
@@ -657,7 +695,7 @@ def _two_pass_solve(d, cfg):
             r -= E_newt[i:j]
             rr += float(np.vdot(r, r))
         F_new = 0.5 * rr + cfg.alpha * float(s_thr.sum()) + cfg.beta * l1
-        stalled = np.array_equal(X_new, X) and np.array_equal(E_new, E)
+        stalled = np.array_equal(E_new, E)
         X, X_new = X_new, X
         E, E_new = E_new, E
         trace.append(F_new)
