@@ -223,6 +223,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # align's first call would import it inside the `align` stage time; other commands skip it
+    from scipy import special  # noqa: F401
+
     stages = _Stages()
     with _input():
         entries = read_manifest(args.manifest)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_WRITE_BLOCK = 4096   # rows formatted per block, bounding the Python floats held
+_WRITE_BLOCK = 4096   # rows or entries rendered per block, bounding the Python objects held
 _MAX_WRITERS = 8
 
 
@@ -78,29 +78,59 @@ def write_tsv(m: DenseMatrix, path) -> None:
     """Write a matrix as TSV; labels become a header row / first column.
 
     Entries are written as `repr` of the float, which round-trips exactly.
-    The rows are split into contiguous shares, one per writer process
-    (`_writers`): this process writes the header and the first share, and
-    each forked writer formats its share into a temporary file in the
+    The rows go through `_write_shares`, so the bytes do not depend on the
+    number of writers, and any `OSError` names `path` as its filename.
+    """
+    _write_shares(path, _header(m.row_labels, m.col_labels), m.n_rows,
+                  lambda lo, hi, fh: _write_rows(m, lo, hi, fh))
+
+
+def write_mask(mask: np.ndarray, path, row_labels=None, col_labels=None) -> None:
+    """Write a 2-D bool array as `write_tsv` writes the same array of 0.0s
+    and 1.0s with these labels, byte for byte, rendered from the bools with
+    numpy: no float copy of the mask is made."""
+    mask = np.ascontiguousarray(mask)   # a row's cells must be adjacent for the byte view
+
+    def render(lo, hi, fh):
+        # each cell is "0.0" or "1.0" and a tab: four bytes; a row's last tab becomes a newline
+        cells = np.where(mask[lo:hi], b"1.0\t", b"0.0\t").view(np.uint8)
+        cells[:, -1] = ord("\n")
+        fh.writelines(_labelled(row_labels, lo, hi, cells.tobytes().decode().splitlines(True)))
+
+    _write_shares(path, _header(row_labels, col_labels), len(mask), render)
+
+
+def _header(row_labels, col_labels) -> str:
+    """The header line of a matrix TSV: the column labels, after `id` when
+    rows are labelled; empty without column labels."""
+    if col_labels is None:
+        return ""
+    return "\t".join(["id", *col_labels] if row_labels is not None else col_labels) + "\n"
+
+
+def _write_shares(path, head: str, n: int, render) -> None:
+    """Write `head`, then items 0..n-1 by `render(lo, hi, fh)`, which writes
+    items lo..hi-1 (one block of at most `_WRITE_BLOCK`) to the text file `fh`.
+
+    The items are split into contiguous shares, one per writer process
+    (`_writers`): this process writes the head and the first share, and
+    each forked writer renders its share into a temporary file in the
     output's directory, which is appended in order. The bytes do not depend
     on the number of writers. Any `OSError` names `path` as its filename.
     """
-    w = _writers(m.n_rows)
-    bounds = [m.n_rows * i // w for i in range(w + 1)]
+    w = _writers(n)
+    bounds = [n * i // w for i in range(w + 1)]
     try:
         with open(path, "w") as fh:
-            if m.col_labels is not None:
-                head = list(m.col_labels)
-                if m.row_labels is not None:
-                    head = ["id"] + head
-                fh.write("\t".join(head) + "\n")
+            fh.write(head)
             parts, pids = [], []
             try:
                 folder = os.path.dirname(os.path.abspath(path))
                 for _ in range(w - 1):
                     parts.append(tempfile.TemporaryFile(dir=folder))
                 for part, lo, hi in zip(parts, bounds[1:], bounds[2:]):
-                    pids.append(_fork_writer(m, lo, hi, part))
-                _write_rows(m, 0, bounds[1], fh)
+                    pids.append(_fork_writer(render, lo, hi, part))
+                _render_blocks(render, 0, bounds[1], fh)
                 fh.flush()
                 for part in parts:
                     code = _reap(pids[0])
@@ -119,13 +149,13 @@ def write_tsv(m: DenseMatrix, path) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _writers(n_rows: int) -> int:
-    """Writer processes for a matrix of `n_rows`: one per usable CPU, at most
-    `_MAX_WRITERS` and at most one per `_WRITE_BLOCK` rows; one without
+def _writers(n_items: int) -> int:
+    """Writer processes for `n_items` rows or entries: one per usable CPU, at
+    most `_MAX_WRITERS` and at most one per `_WRITE_BLOCK` items; one without
     `os.fork`."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_usable_cpus(), _MAX_WRITERS, n_rows // _WRITE_BLOCK))
+    return max(1, min(_usable_cpus(), _MAX_WRITERS, n_items // _WRITE_BLOCK))
 
 
 def _usable_cpus() -> int:
@@ -136,22 +166,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_rows(m: DenseMatrix, lo: int, hi: int, fh) -> None:
-    """Render rows lo..hi-1 to the text file `fh`, one block at a time."""
+def _render_blocks(render, lo: int, hi: int, fh) -> None:
+    """Render items lo..hi-1 to `fh` one block at a time, bounding the Python
+    objects held at once."""
     for start in range(lo, hi, _WRITE_BLOCK):
-        stop = min(start + _WRITE_BLOCK, hi)
-        rows = m.values[start:stop].tolist()
-        if m.row_labels is None:
-            fh.writelines("\t".join(map(repr, row)) + "\n" for row in rows)
-        else:
-            fh.writelines(
-                "\t".join([label, *map(repr, row)]) + "\n"
-                for label, row in zip(m.row_labels[start:stop], rows)
-            )
+        render(start, min(start + _WRITE_BLOCK, hi), fh)
 
 
-def _fork_writer(m: DenseMatrix, lo: int, hi: int, part) -> int:
-    """Fork a process that renders rows lo..hi-1 into the binary file `part`
+def _write_rows(m: DenseMatrix, lo: int, hi: int, fh) -> None:
+    """Render rows lo..hi-1 of `m` to the text file `fh`."""
+    lines = ("\t".join(map(repr, row)) + "\n" for row in m.values[lo:hi].tolist())
+    fh.writelines(_labelled(m.row_labels, lo, hi, lines))
+
+
+def _labelled(row_labels, lo: int, hi: int, lines):
+    """The `lines` of rows lo..hi-1, each after its row label and a tab when
+    there are row labels."""
+    return lines if row_labels is None else map("{}\t{}".format, row_labels[lo:hi], lines)
+
+
+def _fork_writer(render, lo: int, hi: int, part) -> int:
+    """Fork a process that renders items lo..hi-1 into the binary file `part`
     and exits with 0, with the errno of the OSError that stopped it, or with
     EIO after any other error."""
     with warnings.catch_warnings():
@@ -166,7 +201,7 @@ def _fork_writer(m: DenseMatrix, lo: int, hi: int, part) -> int:
     code = errno.EIO
     try:
         with open(part.fileno(), "w", closefd=False) as out:
-            _write_rows(m, lo, hi, out)
+            _render_blocks(render, lo, hi, out)
         code = 0
     except OSError as exc:
         code = exc.errno or errno.EIO

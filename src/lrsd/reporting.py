@@ -7,10 +7,8 @@ from itertools import compress
 
 import numpy as np
 
-from .matrix import DenseMatrix, as_array
+from .matrix import DenseMatrix, _write_shares, as_array
 from .solver import SolverResult, _calls, numerical_rank
-
-_REPORT_BLOCK = 4096  # shared rows formatted per block
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,8 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
     `shared_path` gets one line per row with a call in the low-rank
     component (|X| > T), with the studies and values called; `specific_path`
     gets one line per call in the sparse component (|E| > T).
-    Both are sorted by descending magnitude, ties in row-major order.
+    Both are sorted by descending magnitude, ties in row-major order, and
+    written on every usable core by `matrix._write_shares`.
     Returns the number of shared rows and of specific entries.
     """
     X, E = result.X_hat, result.E_hat
@@ -93,30 +92,29 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
     row_max = np.abs(X.values).max(axis=1)  # the max_magnitude column and the sort key
     rows = np.flatnonzero(x_calls.any(axis=1))
     rows = rows[np.argsort(-row_max[rows], kind="stable")]
-    with open(shared_path, "w") as fh:
-        fh.write("snp\tmax_magnitude\tstudies\tmagnitudes\n")
-        for lo in range(0, len(rows), _REPORT_BLOCK):  # bounds the Python floats held at once
-            block = rows[lo:lo + _REPORT_BLOCK]
-            for i, row, over, peak in zip(
-                block.tolist(),
-                X.values[block].tolist(),
-                x_calls[block].tolist(),
-                row_max[block].tolist(),
-            ):
-                magnitudes = tuple(compress(row, over))
-                # one %-format per row formats its magnitudes faster than one per value
-                fh.write(
-                    f"{snp_ids[i]}\t{peak:.6g}\t{','.join(compress(studies, over))}\t"
-                    + ",".join(["%.6g"] * len(magnitudes)) % magnitudes + "\n"
-                )
+
+    def shared(lo, hi, fh):
+        block = rows[lo:hi]
+        for i, row, over, peak in zip(block.tolist(), X.values[block].tolist(),
+                                      x_calls[block].tolist(), row_max[block].tolist()):
+            magnitudes = tuple(compress(row, over))
+            # one %-format per row formats its magnitudes faster than one per value
+            fh.write(
+                f"{snp_ids[i]}\t{peak:.6g}\t{','.join(compress(studies, over))}\t"
+                + ",".join(["%.6g"] * len(magnitudes)) % magnitudes + "\n"
+            )
 
     ii, jj = np.nonzero(e_calls)
     values = E.values[ii, jj]
     order = np.argsort(-np.abs(values), kind="stable")
-    with open(specific_path, "w") as fh:
-        fh.write("snp\tstudy\tvalue\n")
+    ii, jj, values = ii[order], jj[order], values[order]
+
+    def specific(lo, hi, fh):
         fh.writelines(
             f"{snp_ids[i]}\t{studies[j]}\t{v:.6g}\n"
-            for i, j, v in zip(ii[order].tolist(), jj[order].tolist(), values[order].tolist())
+            for i, j, v in zip(ii[lo:hi].tolist(), jj[lo:hi].tolist(), values[lo:hi].tolist())
         )
+
+    _write_shares(shared_path, "snp\tmax_magnitude\tstudies\tmagnitudes\n", len(rows), shared)
+    _write_shares(specific_path, "snp\tstudy\tvalue\n", len(values), specific)
     return len(rows), len(values)

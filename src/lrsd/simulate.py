@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import DenseMatrix, write_tsv
+from .matrix import DenseMatrix, write_mask, write_tsv
 
 N_ROWS, N_COLS = 100, 50
 BICLUSTER_SCALE = 50.0   # d, the Frobenius norm of each planted bicluster
@@ -122,7 +122,7 @@ def save_instance(inst: SimulatedInstance, outdir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_tsv(inst.data, out / "data.tsv")
     write_tsv(inst.truth_signal, out / "truth.tsv")
-    write_tsv(DenseMatrix(inst.truth_mask.astype(float)), out / "mask.tsv")
+    write_mask(inst.truth_mask, out / "mask.tsv")
     spec = inst.spec
     meta = {
         "pattern": spec.pattern_id,

@@ -14,9 +14,8 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from .matrix import DenseMatrix, write_tsv
+from .matrix import DenseMatrix, write_mask, write_tsv
 
 P_CLAMP = 1e-300   # smaller p-values are clamped here (z ~ 37) and counted
 
@@ -45,12 +44,16 @@ def p_to_z(p: float) -> float:
     """Two-sided z magnitude Phi^{-1}(1 - p/2), computed stably in the tail."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p-value must be in (0, 1], got {p}")
+    from scipy import special   # here, so that commands without p-values skip its import
+
     p = max(p, P_CLAMP)
     return float(-special.ndtri(p / 2.0))
 
 
 def z_to_p(z: float) -> float:
     """Inverse of p_to_z: two-sided p-value of a z magnitude."""
+    from scipy import special
+
     return float(2.0 * special.ndtr(-abs(z)))
 
 
@@ -157,6 +160,8 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
     Missing entries are imputed at p = 0.5 (z = 0 exactly) and flagged in
     imputed_mask. SNPs are ordered lexicographically for determinism.
     """
+    from scipy import special
+
     _check_coverage(k, len(studies))
     coverage: Counter[str] = Counter()
     for st in studies:
@@ -241,9 +246,4 @@ def read_manifest(path) -> list[tuple[str, Path]]:
 
 def write_panel(panel: AlignedPanel, z_path, mask_path) -> None:
     write_tsv(panel.z_matrix, z_path)
-    mask = DenseMatrix(
-        panel.imputed_mask.astype(float),
-        row_labels=panel.snp_ids,
-        col_labels=panel.study_names,
-    )
-    write_tsv(mask, mask_path)
+    write_mask(panel.imputed_mask, mask_path, panel.snp_ids, panel.study_names)

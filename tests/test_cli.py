@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from lrsd import cli, matrix
+from lrsd import cli, matrix, reporting
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, read_tsv, write_tsv
 from lrsd.metrics import score
@@ -484,7 +484,7 @@ GOLDEN_SHA256 = {
 
 
 def _force_writers(monkeypatch, workers=4, block=16):
-    """Make every write_tsv call fork, whatever the CPU count and row count."""
+    """Make every sharded write fork, whatever the CPU count and row count."""
     monkeypatch.setattr(matrix, "_WRITE_BLOCK", block)
     monkeypatch.setattr(matrix, "_writers", lambda n_rows: workers)
 
@@ -529,7 +529,8 @@ class TestAnalyze:
         _force_writers(monkeypatch)
         monkeypatch.setattr(os, "fork", counted_fork)
         self._check_golden(tmp_path, capsys)
-        assert len(forks) == 4 * 3   # z, mask, X and E, three forked shares each
+        # z, mask, X, E, shared and specific, three forked shares each
+        assert len(forks) == 6 * 3
         _assert_no_child_left()
 
     def test_writer_failure_names_the_file(self, tmp_path, capsys, monkeypatch):
@@ -573,6 +574,30 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: cannot write {out / 'z.tsv'}: {os.strerror(errno.ENOSPC)}\n")
         assert os.listdir(out) == ["z.tsv"]
+        _assert_no_child_left()
+
+    def test_forked_report_share_failure_names_the_file(self, tmp_path, capsys, monkeypatch):
+        write_shares, parent = matrix._write_shares, os.getpid()
+
+        def disk_full_in_forked_shares(path, head, n, render):
+            def failing(lo, hi, fh):
+                if os.getpid() != parent:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                render(lo, hi, fh)
+
+            write_shares(path, head, n, failing if path.name == "shared.tsv" else render)
+
+        _force_writers(monkeypatch)
+        monkeypatch.setattr(reporting, "_write_shares", disk_full_in_forked_shares)
+        mani = _golden_manifest(tmp_path)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'shared.tsv'}: {os.strerror(errno.ENOSPC)}\n")
+        # no temporary share file is left, and specific.tsv is not begun
+        assert sorted(os.listdir(out)) == sorted(
+            ["z.tsv", "imputed_mask.tsv", "X.tsv", "E.tsv", "embedding.tsv", "shared.tsv"])
         _assert_no_child_left()
 
     @pytest.mark.parametrize("flag, value, named", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrsd import matrix
-from lrsd.matrix import DenseMatrix, as_array, read_tsv, write_tsv
+from lrsd.matrix import DenseMatrix, as_array, read_tsv, write_mask, write_tsv
 
 
 def test_rejects_nonfinite():
@@ -175,6 +175,33 @@ def test_write_tsv_shares_match_reference_bytes(tmp_path_factory, case):
     _write_tsv_reference(m, d / "ref.tsv")
     assert (d / "new.tsv").read_bytes() == (d / "ref.tsv").read_bytes()
     assert sorted(os.listdir(d)) == ["new.tsv", "ref.tsv"]
+
+
+@st.composite
+def mask_writes(draw):
+    """A bool mask around a small `_WRITE_BLOCK`, its labels or none, and a
+    forced writer count."""
+    block = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.sampled_from([0, 1, block, block + 1]), st.integers(0, 6 * block)))
+    mask = draw(arrays(bool, (n, draw(st.integers(1, 5)))))
+    rows = tuple(f"rs{i}" for i in range(n)) if draw(st.booleans()) else None
+    cols = tuple(f"s{j}" for j in range(mask.shape[1])) if draw(st.booleans()) else None
+    return mask, rows, cols, block, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_writes())
+def test_write_mask_matches_write_tsv(tmp_path_factory, case):
+    mask, rows, cols, block, workers = case
+    d = tmp_path_factory.mktemp("wm")
+    with mock.patch.object(matrix, "_WRITE_BLOCK", block), \
+            mock.patch.object(matrix, "_writers", lambda n_items: workers):
+        write_mask(mask, d / "mask.tsv", rows, cols)
+    write_tsv(DenseMatrix(mask.astype(float), rows, cols), d / "ref.tsv")
+    assert (d / "mask.tsv").read_bytes() == (d / "ref.tsv").read_bytes()
+    assert sorted(os.listdir(d)) == ["mask.tsv", "ref.tsv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus, rows, workers", [

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lrsd import reporting
+from lrsd import matrix
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, write_tsv
 from lrsd.reporting import (
@@ -234,15 +234,18 @@ tied = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0, 1e-300, 7.25
     arrays(float, st.tuples(st.integers(1, 15), st.integers(1, 5)), elements=tied),
     st.sampled_from([0.0, 1.0, 2.5, 2.9]),
     st.booleans(),
-    st.integers(1, 16),   # shared rows per formatting block
+    st.integers(1, 16),   # report lines per formatting block
+    st.integers(1, 4),    # writer processes, forced
 )
-def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T, labelled, block):
+def test_extract_snps_matches_per_row_reference(tmp_path_factory, X, E, T, labelled, block,
+                                                workers):
     E = np.resize(E, X.shape)
     rows = tuple(f"rs{i}" for i in range(X.shape[0])) if labelled else None
     cols = tuple(f"s{j}" for j in range(X.shape[1])) if labelled else None
     result = _result(X, E, rows, cols)
     d = tmp_path_factory.mktemp("rep")
-    with mock.patch.object(reporting, "_REPORT_BLOCK", block):
+    with mock.patch.object(matrix, "_WRITE_BLOCK", block), \
+            mock.patch.object(matrix, "_writers", lambda n_items: workers):
         counts = write_snp_report(result, d / "shared.tsv", d / "specific.tsv", T)
     shared, specific = _extract_reference(result, T)
     _write_report_reference(shared, specific, d / "shared_ref.tsv", d / "specific_ref.tsv")

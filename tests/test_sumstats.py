@@ -296,14 +296,30 @@ def test_align_rejects_p_outside_unit_interval(bad):
         align(studies, 1)
 
 
-def test_cli_import_loads_scipy_special_and_lapack():
-    # align and solve must not pay a first-call import that their stage times would count
+def test_scipy_special_is_imported_by_analyze_before_its_stage_clock(tmp_path):
+    # `import lrsd.cli` loads LAPACK for the solver but not scipy.special, which
+    # only analyze needs; analyze imports it before its stage clock starts, so that
+    # no stage time counts a first-call import
+    for name, body in (("a", "rs1\t0.5\nrs2\t1e-6\n"), ("b", "rs1\t0.9\nrs2\t0.2\n")):
+        (tmp_path / f"{name}.tsv").write_text("snp\tp\n" + body)
+    (tmp_path / "studies.txt").write_text("a\ta.tsv\nb\tb.tsv\n")
     src = str(Path(lrsd.__file__).resolve().parent.parent)
-    code = ("import sys, lrsd.cli; "
-            "print(*(m in sys.modules for m in ('scipy.special', 'scipy.linalg.lapack')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    code = "\n".join([
+        "import sys, lrsd.cli",
+        "print(*(m in sys.modules for m in ('scipy.special', 'scipy.linalg.lapack')))",
+        "start = lrsd.cli._Stages.__init__",
+        "def spy(self):",
+        "    print('scipy.special' in sys.modules)",
+        "    start(self)",
+        "lrsd.cli._Stages.__init__ = spy",
+        "lrsd.cli.main(['analyze', '--manifest', sys.argv[1], '--min-coverage', '1',",
+        "               '--out', sys.argv[2]])",
+    ])
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "studies.txt"),
+                          str(tmp_path / "out")], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": src}, timeout=120)
-    assert out.stdout.split() == ["True", "True"]
+    assert out.stdout.split()[:3] == ["False", "True", "True"]
+    assert (tmp_path / "out" / "z.tsv").exists()
 
 
 def test_write_panel_and_manifest(tmp_path):
