@@ -30,13 +30,6 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _write_manifest(path, entries: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"tool_version={__version__}\n")
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
 class _Refusal(Exception):
     """Bad input, a bad flag value or an unwritable output; `main` prints it and exits 2."""
 
@@ -59,13 +52,9 @@ def _output(path):
         raise _Refusal(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
-def _peak_rss_mb() -> str:
-    """This process's peak resident set so far, in MB (ru_maxrss is in KB on Linux)."""
-    return f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}"
-
-
 class _Stages:
-    """Wall time per pipeline stage, summed over `time.monotonic()` laps."""
+    """A solving command's run: wall time per stage, summed over
+    `time.monotonic()` laps, and the one manifest written from it."""
 
     def __init__(self):
         self.start = self.last = time.monotonic()
@@ -77,11 +66,29 @@ class _Stages:
         self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self.last
         self.last = now
 
-    def manifest(self) -> dict:
-        """`time_<stage>_s` per stage, then the run's `duration_s`."""
-        entries = {f"time_{stage}_s": f"{s:.3f}" for stage, s in self.seconds.items()}
-        entries["duration_s"] = f"{time.monotonic() - self.start:.3f}"
-        return entries
+    def record(self, out: Path, keys: dict, result, **counts) -> int:
+        """Write OUT/manifest.txt and return the exit code, 0 or 3 at the iteration cap.
+
+        The lines are tool_version, the command's `keys`, the solve's outcome,
+        the command's `counts`, this process's peak resident set so far in MB
+        (ru_maxrss is in KB on Linux), each `time_<stage>_s`, then `duration_s`.
+        """
+        self.duration_s = f"{time.monotonic() - self.start:.3f}"
+        entries = dict(
+            tool_version=__version__,
+            **keys,
+            iterations_used=result.iterations_used,
+            converged=result.converged,
+            rank_of_X=result.rank_of_X,
+            nnz_of_E=result.nnz_of_E,
+            **counts,
+            peak_rss_mb=f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}",
+            **{f"time_{stage}_s": f"{s:.3f}" for stage, s in self.seconds.items()},
+            duration_s=self.duration_s,
+        )
+        with _output(out), open(out / "manifest.txt", "w") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in entries.items())
+        return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
 def _configure(D, args, **limits) -> tuple[SolverConfig, dict]:
@@ -129,30 +136,23 @@ def cmd_decompose(args) -> int:
     with _output(out):  # an unwritable --out fails before the solve, not after it
         out.mkdir(parents=True, exist_ok=True)
     result = _solve_and_write(D, config, out, stages)
-    manifest = dict(
+    with _output(out), open(out / "trace.tsv", "w") as fh:
+        fh.write("iteration\tobjective\n")
+        for i, f in enumerate(result.objective_trace):
+            fh.write(f"{i}\t{f!r}\n")
+    stages.lap("write")
+    code = stages.record(out, dict(
         subcommand="decompose",
         input=args.input,
         **resolved,
         max_iterations=config.max_iterations,
         rel_tolerance=config.rel_tolerance,
-        iterations_used=result.iterations_used,
-        converged=result.converged,
-        rank_of_X=result.rank_of_X,
-        nnz_of_E=result.nnz_of_E,
-    )
-    with _output(out):
-        with open(out / "trace.tsv", "w") as fh:
-            fh.write("iteration\tobjective\n")
-            for i, f in enumerate(result.objective_trace):
-                fh.write(f"{i}\t{f!r}\n")
-        stages.lap("write")
-        manifest["peak_rss_mb"] = _peak_rss_mb()
-        _write_manifest(out / "manifest.txt", manifest | stages.manifest())
+    ), result)
     print(
         f"iterations {result.iterations_used}, converged {result.converged}, "
         f"rank(X) {result.rank_of_X}, nnz(E) {result.nnz_of_E}"
     )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return code
 
 
 def _read_mask(path):
@@ -230,11 +230,10 @@ def cmd_analyze(args) -> int:
     with _input():
         entries = read_manifest(args.manifest)
         _check_coverage(args.min_coverage, len(entries))  # before any study is parsed
-        studies = []
         for name, path in entries:
             if not Path(path).exists():
                 raise _Refusal(f"study {name}: missing file {path}")
-            studies.append(parse_study(path, name))
+        studies = [parse_study(path, name) for name, path in entries]
         stages.lap("parse")
         panel = align(studies, args.min_coverage)
     del studies  # the parsed records are a run's largest objects; the panel holds what is used
@@ -258,33 +257,24 @@ def cmd_analyze(args) -> int:
         n_shared, n_specific = write_snp_report(
             result, out / "shared.tsv", out / "specific.tsv", config.detection_threshold
         )
-        stages.lap("report")
-        manifest = dict(
-            subcommand="analyze",
-            manifest=args.manifest,
-            n_studies=len(panel.study_names),
-            n_snps=len(panel.snp_ids),
-            min_coverage=args.min_coverage,
-            n_imputed=int(panel.imputed_mask.sum()),
-            n_clamped=panel.n_clamped,
-            embed_rank=r,
-            **resolved,
-            iterations_used=result.iterations_used,
-            converged=result.converged,
-            rank_of_X=result.rank_of_X,
-            nnz_of_E=result.nnz_of_E,
-            n_shared_rows=n_shared,
-            n_specific_entries=n_specific,
-            peak_rss_mb=_peak_rss_mb(),
-            **stages.manifest(),
-        )
-        _write_manifest(out / "manifest.txt", manifest)
+    stages.lap("report")
+    code = stages.record(out, dict(
+        subcommand="analyze",
+        manifest=args.manifest,
+        n_studies=len(panel.study_names),
+        n_snps=len(panel.snp_ids),
+        min_coverage=args.min_coverage,
+        n_imputed=int(panel.imputed_mask.sum()),
+        n_clamped=panel.n_clamped,
+        embed_rank=r,
+        **resolved,
+    ), result, n_shared_rows=n_shared, n_specific_entries=n_specific)
     print(
         f"{len(panel.snp_ids)} SNPs x {len(panel.study_names)} studies; "
         f"rank(X) {result.rank_of_X}, {n_shared} shared rows, "
-        f"{n_specific} specific entries; {manifest['duration_s']}s"
+        f"{n_specific} specific entries; {stages.duration_s}s"
     )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return code
 
 
 def _positive_int(text: str) -> int:

@@ -36,7 +36,6 @@ class AlignedPanel:
     study_names: tuple[str, ...]
     z_matrix: DenseMatrix       # SNPs x studies, z-score magnitudes
     imputed_mask: np.ndarray    # True where the p-value was missing
-    min_coverage: int
     n_clamped: int = 0          # p-values below P_CLAMP that were clamped
 
 
@@ -196,7 +195,6 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
         study_names=names,
         z_matrix=DenseMatrix(z, row_labels=tuple(kept), col_labels=names),
         imputed_mask=imputed,
-        min_coverage=k,
         n_clamped=n_clamped,
     )
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from lrsd import cli, matrix, reporting
+from lrsd import __version__, cli, matrix, reporting
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, read_tsv, write_tsv
 from lrsd.metrics import score
@@ -202,6 +202,26 @@ def test_manifest_parameter_provenance(tmp_path, flags, lines):
     keys = ("sigma_hat=", "alpha=", "beta=", "threshold=")
     manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
     assert [ln for ln in manifest if ln.startswith(keys)] == lines
+
+
+# the solve's outcome, between a command's own keys and its counts
+OUTCOME_KEYS = ["iterations_used", "converged", "rank_of_X", "nnz_of_E"]
+PARAMETER_KEYS = ["sigma_hat", "alpha", "beta", "threshold"]
+
+
+def test_decompose_manifest_key_sequence(tmp_path):
+    src = tmp_path / "small.tsv"
+    write_tsv(DenseMatrix(SMALL), src)
+    rc = main(["decompose", "--input", str(src), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    mani = _read_manifest(tmp_path / "o" / "manifest.txt")
+    assert list(mani) == [
+        "tool_version", "subcommand", "input", *PARAMETER_KEYS, "max_iterations",
+        "rel_tolerance", *OUTCOME_KEYS, "peak_rss_mb", "time_read_s", "time_solve_s",
+        "time_write_s", "duration_s",
+    ]
+    assert (mani["tool_version"], mani["subcommand"], mani["input"]) == (
+        __version__, "decompose", str(src))
 
 
 def _unwritable_out(tmp_path, blocked):
@@ -500,10 +520,19 @@ class TestAnalyze:
         rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "4",
                    "--out", str(tmp_path / "out")])
         assert rc == 0
-        assert capsys.readouterr().out.startswith(
-            "297 SNPs x 6 studies; rank(X) 2, 294 shared rows, 78 specific entries;"
-        )
         run = _read_manifest(tmp_path / "out" / "manifest.txt")
+        assert list(run) == [
+            "tool_version", "subcommand", "manifest", "n_studies", "n_snps", "min_coverage",
+            "n_imputed", "n_clamped", "embed_rank", *PARAMETER_KEYS, *OUTCOME_KEYS,
+            "n_shared_rows", "n_specific_entries", "peak_rss_mb", "time_parse_s",
+            "time_align_s", "time_solve_s", "time_write_s", "time_report_s", "duration_s",
+        ]
+        assert (run["tool_version"], run["subcommand"], run["manifest"]) == (
+            __version__, "analyze", str(mani))
+        assert capsys.readouterr().out == (
+            "297 SNPs x 6 studies; rank(X) 2, 294 shared rows, 78 specific entries; "
+            f"{run['duration_s']}s\n"
+        )
         assert (run["n_imputed"], run["n_clamped"], run["nnz_of_E"]) == ("128", "1", "105")
         assert (run["n_shared_rows"], run["n_specific_entries"]) == ("294", "78")
         _assert_stage_times(run, ["parse", "align", "solve", "write", "report"])
@@ -713,6 +742,28 @@ class TestAnalyze:
         assert rc == 2
         captured = capsys.readouterr()
         assert (captured.err, captured.out) == ("error: min coverage k=3 outside 1..2\n", "")
+        assert parsed == []
+        assert not out.exists()
+
+    def test_missing_file_refused_before_any_parse(self, tmp_path, capsys, monkeypatch):
+        """Every study path is checked before the first study is parsed: a
+        missing last file is named, not an earlier file's bad p-value."""
+        (tmp_path / "s1.tsv").write_text("snp\tp\nrs1\tabc\n")
+        mani = tmp_path / "studies.txt"
+        mani.write_text("s1\ts1.tsv\ns2\tmissing.tsv\n")
+        parse, parsed = cli.parse_study, []
+
+        def counted_parse(*args):
+            parsed.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(cli, "parse_study", counted_parse)
+        out = tmp_path / "o"
+        rc = main(["analyze", "--manifest", str(mani), "--min-coverage", "1", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        missing = tmp_path.resolve() / "missing.tsv"
+        assert (captured.err, captured.out) == (f"error: study s2: missing file {missing}\n", "")
         assert parsed == []
         assert not out.exists()
 
