@@ -14,7 +14,9 @@ That costs two thin products with A instead of a thin SVD of it, and the
 shrunk singular values it returns give the nuclear norm of X for free.
 Squaring A costs digits in the small singular values only: the error in X,
 relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
-or s1/lam exceeds GRAM_MAX_RATIO, the step falls back to an exact SVD.
+or s1/lam exceeds GRAM_MAX_RATIO, an exact SVD of A gives V and s instead.
+Either way the step yields the factors (V_k, W, shrunk values), with
+W = V_k diag((s_k - lam)/s_k), and X = (A V_k) W^T.
 
 Only the eigenpairs of A^T A above lam^2 are computed: LAPACK's dsyevr
 with RANGE='V' reduces it to tridiagonal form, then finds just those
@@ -27,11 +29,15 @@ computed instead.
 
 A sweep of `solve` is bound by memory traffic, not flops, so it makes one
 pass over row blocks of the tall orientation (about 256 KB each) instead of
-whole-matrix passes. Per block it recomputes D - E, forms its rows of X and
-of E, adds its share of the objective and, while the block is still in
-cache, its term of the Gram matrix of D - E_new, which the next sweep's SVT
-needs; only the first sweep's Gram matrix takes a pass of its own. Every
-input takes this pass, whatever its number of blocks. The blocks go, in
+whole-matrix passes. `solve` keeps X only as the sweep's SVT factors: per
+block the pass recomputes D - E, forms the block's rows of X from the
+factors in the block's buffer, writes its rows of E_new, adds its
+share of the objective and, while the block is still in cache, its term of
+the Gram matrix of D - E_new, which the next sweep's SVT needs; only the
+first sweep's Gram matrix takes a pass of its own. Every input takes this
+pass, whatever its number of blocks, so `solve` holds two n x p arrays, E
+and E_new. X is formed once, after the last sweep, by one more pass over
+the same blocks that writes it over the E it came from. The blocks go, in
 order, into min(8, blocks) contiguous shares whose bounds depend only on
 the shape and which shrink along the matrix, so that the shares taken
 last are short and no thread sits idle long at the end. When
@@ -187,32 +193,32 @@ def _gram_svt(G: np.ndarray, lam: float):
     return Vk, Vk * (s_thr / s), np.r_[s_thr, np.zeros(G.shape[0] - m)]
 
 
-def _svd_svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SVT of a by lam through an exact thin SVD; out may be a itself."""
-    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+def _svd_factors(a: np.ndarray, lam: float):
+    """The SVT factors of `_gram_svt` for a tall a, through an exact thin SVD.
+
+    V_k holds the right singular vectors whose s > lam and W = V_k diag(s_thr / s);
+    the shrunk values are one per column of a.
+    """
+    _, s, Vt = np.linalg.svd(a, full_matrices=False)
     s_thr = np.maximum(s - lam, 0.0)
-    return np.matmul(U * s_thr, Vt, out=out), s_thr
+    k = int((s > lam).sum())
+    Vk = Vt[:k].T
+    return Vk, Vk * (s_thr[:k] / s[:k]), s_thr
 
 
 def _svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SVT of a by lam written into out; returns out and the shrunk singular values.
 
     The shrunk values max(s - lam, 0) come sorted non-increasing, one per
-    min(n, p). Uses the Gram route of the module docstring unless lam is 0
-    or s1/lam > GRAM_MAX_RATIO, where it takes an exact thin SVD instead.
+    min(n, p). The factors come from the Gram route of the module docstring
+    unless lam is 0 or s1/lam > GRAM_MAX_RATIO, where an exact thin SVD gives
+    them instead; either way X = (A V_k) W^T in the tall orientation.
     """
-    if lam > 0:
-        wide = a.shape[0] < a.shape[1]
-        b = a.T if wide else a
-        factors = _gram_svt(b.T @ b, lam)
-        if factors is not None:
-            Vk, W, s_thr = factors
-            if wide:
-                np.matmul(W, Vk.T @ a, out=out)
-            else:
-                np.matmul(a @ Vk, W.T, out=out)
-            return out, s_thr
-    return _svd_svt(a, lam, out)
+    b, o = _tall(a, out)
+    factors = _gram_svt(b.T @ b, lam) if lam > 0 else None
+    Vk, W, s_thr = _svd_factors(b, lam) if factors is None else factors
+    np.matmul(b @ Vk, W.T, out=o)
+    return out, s_thr
 
 
 def svt(M, lam: float) -> np.ndarray:
@@ -489,23 +495,21 @@ def _gram_share(blocks, buf, dt):
     return G, rr
 
 
-def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta):
+def _sweep_share(blocks, buf, dt, Et, E_newt, Vk, W, beta):
     """A sweep's pass over the rows of one share, tall orientation.
 
-    Per block: its rows of X_new (from d - E and the SVT factors, unless
-    X_new was already formed whole), of E_new = soft(d - X_new, beta), the
-    l1 norm of E_new and the squared residual d - X_new - E_new, and then,
-    while the block is in cache, its term of the next Gram matrix, that of
-    d - E_new. Returns that Gram matrix, the l1 sum and the squared sum.
+    Per block: its rows of X_new = (d - E) V_k W^T, formed in buf and never
+    stored, of E_new = soft(d - X_new, beta), the l1 norm of E_new and the
+    squared residual d - X_new - E_new, and then, while the block is in
+    cache, its term of the next Gram matrix, that of d - E_new. Returns that
+    Gram matrix, the l1 sum and the squared sum.
     """
     G = np.zeros((dt.shape[1],) * 2)
     l1 = rr = 0.0
     for i, j in blocks:
-        r = buf[: j - i]
-        if factors is not None:
-            np.subtract(dt[i:j], Et[i:j], out=r)
-            np.matmul(r @ factors[0], factors[1].T, out=Xt[i:j])
-        np.subtract(dt[i:j], Xt[i:j], out=r)
+        r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+        np.matmul(r @ Vk, W.T, out=r)   # the block's rows of X_new
+        np.subtract(dt[i:j], r, out=r)
         l1 += _shrink(r, beta, E_newt[i:j])
         r -= E_newt[i:j]   # the residual d - X_new - E_new
         rr += float(np.vdot(r, r))
@@ -514,26 +518,32 @@ def _sweep_share(blocks, buf, dt, Et, Xt, E_newt, factors, beta):
     return G, l1, rr
 
 
-def _sweep(G, d, E, X_new, E_new, alpha: float, beta: float, shares: _Shares):
+def _x_share(blocks, buf, dt, Et, Vk, W):
+    """Overwrite the rows of Et in `blocks` with those of X = (d - E) V_k W^T."""
+    for i, j in blocks:
+        r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+        np.matmul(r @ Vk, W.T, out=Et[i:j])
+
+
+def _sweep(G, d, E, E_new, alpha: float, beta: float, shares: _Shares):
     """One sweep: X_new = SVT(d - E, alpha), then E_new = soft(d - X_new, beta).
 
     G is the Gram matrix of d - E in the tall orientation (a wide input is
     swept through its transpose). Returns the objective at (X_new, E_new),
-    the shrunk singular values and the Gram matrix of d - E_new, which the
-    next sweep takes as its G. The pass over the row blocks is the fused
-    one of the module docstring, whatever their number; the shares' sums
-    are added in share order. When the Gram route does not apply, d - E is
-    built in X_new for the exact SVD first, and the pass only reads X_new.
+    the SVT factors (V_k, W, shrunk values) that give X_new = (d - E) V_k W^T
+    there, and the Gram matrix of d - E_new, which the next sweep takes as
+    its G. X_new is never stored: the fused pass of the module docstring
+    forms each block's rows of it, whatever the number of blocks, and the
+    shares' sums are added in share order. When the Gram route does not
+    apply, the exact SVD takes d - E, built in E_new before the pass.
     """
-    views = _tall(d, E, X_new, E_new)
+    dt, Et, E_newt = _tall(d, E, E_new)
     factors = _gram_svt(G, alpha)
     if factors is None:
-        np.subtract(d, E, out=X_new)
-        s_thr = _svd_svt(X_new, alpha, X_new)[1]
-    else:
-        s_thr = factors[2]
-    G, l1, rr = shares.sum(_sweep_share, *views, factors, beta)
-    return 0.5 * rr + alpha * float(s_thr.sum()) + beta * l1, s_thr, G
+        factors = _svd_factors(np.subtract(dt, Et, out=E_newt), alpha)
+    Vk, W, s_thr = factors
+    G, l1, rr = shares.sum(_sweep_share, dt, Et, E_newt, Vk, W, beta)
+    return 0.5 * rr + alpha * float(s_thr.sum()) + beta * l1, factors, G
 
 
 def _tall(*arrays) -> list[np.ndarray]:
@@ -546,7 +556,9 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
     """Alternate SVT and soft-thresholding from E = 0 until convergence.
 
     E is the whole iterate: each sweep's SVT step reads only D - E, so X is
-    scratch that the sweep overwrites. x0, when given, sets only trace[0],
+    kept only as its SVT factors and formed once, over the buffer of the E
+    it came from, after the last sweep; solve holds two n x p arrays, E and
+    the next E. x0, when given, sets only trace[0],
     as objective(D, x0, 0); the sweeps start from E = 0 whatever it is.
     Convergence: relative objective decrease below config.rel_tolerance.
     A couple of extra sweeps are run after the criterion first fires so the
@@ -569,7 +581,7 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
         _check_same_shape(d, as_array(x0))
 
     alpha, beta = config.alpha, config.beta
-    X, E, E_new = np.empty(d.shape), np.zeros_like(d), np.empty(d.shape)
+    E, E_new = np.zeros_like(d), np.empty(d.shape)
     settle = 0
     with _Shares(*_tall(d)[0].shape) as shares:
         # the first sweep's Gram matrix, that of d as E = 0; from X = 0 the same pass
@@ -578,7 +590,7 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
         F = float(0.5 * rr) if x0 is None else objective(d, x0, E, alpha, beta)
         trace = [F]
         for _ in range(config.max_iterations):
-            F_new, s_thr, G = _sweep(G, d, E, X, E_new, alpha, beta, shares)
+            F_new, factors, G = _sweep(G, d, E, E_new, alpha, beta, shares)
             E, E_new = E_new, E
             trace.append(F_new)
             if (F - F_new) / max(F, 1.0) < config.rel_tolerance:
@@ -589,6 +601,9 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
             else:
                 settle = 0
             F = F_new
+        # X of the last sweep, formed once over the buffer of the E it came from
+        X = E_new
+        shares.run(_x_share, *_tall(d, X), *factors[:2])
 
     return SolverResult(
         X_hat=DenseMatrix(X, **labels),
@@ -596,7 +611,7 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
         objective_trace=tuple(trace),
         iterations_used=len(trace) - 1,
         converged=settle > 0,
-        rank_of_X=numerical_rank(s_thr),
+        rank_of_X=numerical_rank(factors[2]),
         nnz_of_E=int(np.count_nonzero(E)),
     )
 

@@ -33,7 +33,7 @@ from lrsd.solver import (
     svt,
     _gram_svt,
     _shrink,
-    _svd_svt,
+    _svd_factors,
     _svt,
 )
 
@@ -588,7 +588,7 @@ class TestSolve:
         assert res.objective_trace[0] == pytest.approx(F0, rel=1e-12)
 
     def test_solve_memory_bounded(self):
-        # three n x p arrays: the scratch X, E and the next E; then block buffers only
+        # two n x p arrays: E and the next E
         D = _tall_panel()
         cfg = auto_config(D)
         with mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)):
@@ -599,7 +599,7 @@ class TestSolve:
             finally:
                 tracemalloc.stop()
         assert res.converged
-        assert peak <= 3.5 * D.nbytes
+        assert peak <= 2.5 * D.nbytes
 
     def test_exit_when_a_sweep_gives_e_back(self):
         # acceptance criterion 7's draw 27: E stays 0, so the first sweep, where the
@@ -612,10 +612,12 @@ class TestSolve:
         X, E = res.X_hat.values, res.E_hat.values
         assert res.iterations_used == 1 and res.converged
         assert not E.any()
-        X_next, E_next = np.empty(D.shape), np.empty(D.shape)
+        X_next, E_next = E.copy(), np.empty(D.shape)
         with solver._Shares(*solver._tall(D)[0].shape) as shares:
             G, _ = shares.sum(solver._gram_share, *solver._tall(D - E))
-            F, _, _ = solver._sweep(G, D, E, X_next, E_next, cfg.alpha, cfg.beta, shares)
+            F, factors, _ = solver._sweep(G, D, E, E_next, cfg.alpha, cfg.beta, shares)
+            # X from the sweep's factors, over a copy of the E it started from
+            shares.run(solver._x_share, *solver._tall(D, X_next), *factors[:2])
         assert np.array_equal(X_next, X) and np.array_equal(E_next, E)
         assert F == res.objective_trace[-1]
 
@@ -680,16 +682,12 @@ def _two_pass_solve(d, cfg):
             trace = [F]
         factors = _gram_svt(G, cfg.alpha)
         if factors is None:
-            np.subtract(d, E, out=X_new)
-            s_thr = _svd_svt(X_new, cfg.alpha, X_new)[1]
-        else:
-            Vk, W, s_thr = factors
+            factors = _svd_factors(np.subtract(dt, Et, out=Xt), cfg.alpha)
+        Vk, W, s_thr = factors
         l1 = rr = 0.0
         for i, j in bounds:
-            r = buf[: j - i]
-            if factors is not None:
-                np.subtract(dt[i:j], Et[i:j], out=r)
-                np.matmul(r @ Vk, W.T, out=Xt[i:j])
+            r = np.subtract(dt[i:j], Et[i:j], out=buf[: j - i])
+            np.matmul(r @ Vk, W.T, out=Xt[i:j])
             np.subtract(dt[i:j], Xt[i:j], out=r)
             l1 += _shrink(r, cfg.beta, E_newt[i:j])
             r -= E_newt[i:j]
@@ -933,7 +931,7 @@ def test_grid_solves_match_full_eigh_oracle():
 
 
 def test_solve_memory_bounded():
-    # X, E and the next sweep's pair are the only n x p arrays solve holds
+    # E and the next E are the only n x p arrays solve holds
     rng = np.random.default_rng(0)
     D = rng.normal(size=(20_000, 32)) + 3 * np.outer(rng.normal(size=20_000), rng.normal(size=32))
     cfg = auto_config(D)
