@@ -15,12 +15,14 @@ A single run per command would sit inside the machine's drift between
 runs: on a 2-vCPU VM two runs of analyze ten minutes apart differed by a
 fifth. It appends one record to `--out` (a JSON list): the commit, the
 machine, and per command the median over its runs of its wall and CPU
-time, of each `time_<stage>_s` of its manifest, of its `ru_maxrss` from
-`os.wait4` and of the bytes of each output file, with every run itself
-under `runs`; then analyze's entry F1 against the planted signal and its
-optimality residual over alpha, from `perfbench/checks.check_analyze`,
-which also checks its outputs. Run it from anywhere; at the full shape it takes ten
-minutes or more and about 1.5 GB of temporary disk.
+time, of each `time_<stage>_s` of its manifest, of its `ru_maxrss` and
+`ru_minflt` (minor page faults, which show the copy-on-write cost of the
+forked TSV writers) from `os.wait4` and of the bytes of each output file,
+with every run itself under `runs`; then analyze's entry F1 against the
+planted signal and its optimality residual over alpha, from
+`perfbench/checks.check_analyze`, which also checks its outputs. Run it
+from anywhere; at the full shape it takes ten minutes or more and about
+1.5 GB of temporary disk.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ PEAK_NOTE = ("ru_maxrss is the peak of the largest single process, the child or 
 
 
 def run_child(args: list[str], out: Path) -> dict:
-    """Run one `lrsd` command in a child process; its times, peak and output bytes."""
+    """Run one `lrsd` command in a child process; its times, peak, minor page
+    faults and output bytes."""
     env = dict(child_env(), PYTHONPATH=str(ROOT / "src"))
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "lrsd.cli", *args, "--out", str(out)], env=env)
@@ -63,6 +66,7 @@ def run_child(args: list[str], out: Path) -> dict:
     return dict(
         wall_s=round(wall, 3),
         cpu_s=round(ru.ru_utime + ru.ru_stime, 3),
+        ru_minflt=ru.ru_minflt,
         ru_maxrss_mb=round(ru.ru_maxrss / 1024, 1),
         stages={k: float(v) for k, v in manifest.items()
                 if k.startswith("time_") or k == "duration_s"},

@@ -22,7 +22,7 @@ from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
-from .solver import SolverConfig, _calls, _check_threshold, resolve_params, solve
+from .solver import SolverConfig, _check_threshold, _detect, resolve_params, solve
 from .sumstats import _check_coverage, align, parse_study, read_manifest, write_panel
 
 EXIT_OK = 0
@@ -202,8 +202,7 @@ def cmd_evaluate(args) -> int:
                                    "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
                 T = resolve_params(read_tsv(args.input))[2]
-            x_calls, e_calls = _calls(X.values, E.values, T)
-            pred = x_calls | e_calls
+            pred = _detect(X.values, E.values, T)
         else:
             raise _Refusal("give either --mask or both --x and --e")
         report = score(pred, truth)

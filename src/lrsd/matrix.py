@@ -65,12 +65,17 @@ class DenseMatrix:
 
 
 def as_array(m) -> np.ndarray:
-    """Accept a DenseMatrix or a plain array and return the float ndarray."""
-    if isinstance(m, DenseMatrix):
-        return m.values
-    a = np.asarray(m, dtype=float)
+    """Accept a DenseMatrix or a plain array and return the float ndarray.
+
+    Every solver entry point takes its matrices through here, so a matrix
+    that is not 2-D or has no entries is refused before any LAPACK call.
+    """
+    a = m.values if isinstance(m, DenseMatrix) else np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError(f"expected a matrix with entries, got an empty {a.shape[0]} x "
+                         f"{a.shape[1]} matrix")
     return a
 
 

@@ -14,7 +14,8 @@ That costs two thin products with A instead of a thin SVD of it, and the
 shrunk singular values it returns give the nuclear norm of X for free.
 Squaring A costs digits in the small singular values only: the error in X,
 relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
-or s1/lam exceeds GRAM_MAX_RATIO, an exact SVD of A gives V and s instead.
+or s1/lam exceeds GRAM_MAX_RATIO, an exact SVD gives V and s instead: that
+of the R factors of A's row blocks, stacked, so that no n x p U is formed.
 Either way the step yields the factors (V_k, W, shrunk values), with
 W = V_k diag((s_k - lam)/s_k), and X = (A V_k) W^T.
 
@@ -194,12 +195,17 @@ def _gram_svt(G: np.ndarray, lam: float):
 
 
 def _svd_factors(a: np.ndarray, lam: float):
-    """The SVT factors of `_gram_svt` for a tall a, through an exact thin SVD.
+    """The SVT factors of `_gram_svt` for a tall a, through an exact SVD.
 
     V_k holds the right singular vectors whose s > lam and W = V_k diag(s_thr / s);
-    the shrunk values are one per column of a.
+    the shrunk values are one per column of a. V and s are those of the R
+    factors of a's row blocks (`_block_rows`), stacked: a = diag(Q_i) [R_i]
+    with orthonormal Q_i, so the stack has a's singular values and vectors,
+    squares nothing, and holds at most p rows per block; no n x p U is formed.
     """
-    _, s, Vt = np.linalg.svd(a, full_matrices=False)
+    rows = _block_rows(a.shape[1])
+    R = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
     s_thr = np.maximum(s - lam, 0.0)
     k = int((s > lam).sum())
     Vk = Vt[:k].T
@@ -268,10 +274,7 @@ def estimate_sigma(D) -> float:
     the module docstring). Returns 0 for constant input; callers doing
     auto-parameterization must treat that as degenerate.
     """
-    a = as_array(D)
-    if a.size == 0:
-        raise ValueError("median of an empty matrix is undefined")
-    at = _tall(a)[0]
+    at = _tall(as_array(D))[0]
     with _Shares(*at.shape) as shares:
         return MAD_TO_SIGMA * _median(shares, at, _median(shares, at))
 
@@ -658,6 +661,17 @@ def _calls(X: np.ndarray, E: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(X) > T, np.abs(E) > T
 
 
+def _detect(X: np.ndarray, E: np.ndarray, T) -> np.ndarray:
+    """The union of the masks of `_calls`, built one row block (`_block_rows`) at
+    a time into one bool mask, so that no n x p temporary is made."""
+    _check_threshold(T)   # also when X has no rows
+    mask = np.empty(X.shape, dtype=bool)
+    rows = _block_rows(X.shape[1])
+    for i in range(0, len(X), rows):
+        np.logical_or(*_calls(X[i : i + rows], E[i : i + rows], T), out=mask[i : i + rows])
+    return mask
+
+
 def detect(result: SolverResult, T: float) -> np.ndarray:
     """Boolean mask of entries reported as signal: |X| > T or |E| > T."""
-    return np.logical_or(*_calls(result.X_hat.values, result.E_hat.values, T))
+    return _detect(result.X_hat.values, result.E_hat.values, T)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +39,27 @@ class AlignedPanel:
     n_clamped: int = 0          # p-values below P_CLAMP that were clamped
 
 
-def p_to_z(p: float) -> float:
-    """Two-sided z magnitude Phi^{-1}(1 - p/2), computed stably in the tail."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p-value must be in (0, 1], got {p}")
+def p_to_z(p):
+    """Two-sided z magnitude Phi^{-1}(1 - p/2) of each p, computed stably in the tail.
+
+    The one home of the p-to-z rule. Takes a scalar (giving an np.float64) or
+    an array, elementwise. Raises ValueError naming the first p, in array
+    order, outside (0, 1] (NaN included); p below P_CLAMP is taken as P_CLAMP.
+    """
     from scipy import special   # here, so that commands without p-values skip its import
 
-    p = max(p, P_CLAMP)
-    return float(-special.ndtri(p / 2.0))
+    p = np.asarray(p, dtype=float)
+    bad = ~((p > 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"p-value must be in (0, 1], got {float(p[bad].flat[0])}")
+    return -special.ndtri(np.maximum(p, P_CLAMP) / 2.0)
 
 
-def z_to_p(z: float) -> float:
-    """Inverse of p_to_z: two-sided p-value of a z magnitude."""
+def z_to_p(z):
+    """Inverse of p_to_z: two-sided p-value 2*Phi(-|z|) of each z, elementwise."""
     from scipy import special
 
-    return float(2.0 * special.ndtr(-abs(z)))
+    return 2.0 * special.ndtr(-np.abs(z))
 
 
 def parse_study(path, study_name: str | None = None) -> StudySummary:
@@ -157,10 +163,10 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
     """Intersect studies on SNPs covered by >= k of them and build z-scores.
 
     Missing entries are imputed at p = 0.5 (z = 0 exactly) and flagged in
-    imputed_mask. SNPs are ordered lexicographically for determinism.
+    imputed_mask. SNPs are ordered lexicographically for determinism. A
+    p-value outside (0, 1] raises `p_to_z`'s error, for the first in study
+    order and then in record order.
     """
-    from scipy import special
-
     _check_coverage(k, len(studies))
     coverage: Counter[str] = Counter()
     for st in studies:
@@ -183,11 +189,8 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
         pv = np.fromiter(st.records.values(), float, m)
         hit = rows >= 0
         rows, pv = rows[hit], pv[hit]
-        bad = ~((pv > 0.0) & (pv <= 1.0))
-        if bad.any():   # p_to_z raises for the first bad p-value in row order
-            p_to_z(float(pv[bad][np.argmin(rows[bad])]))
+        z[rows, j] = p_to_z(pv)
         n_clamped += int(np.count_nonzero(pv < P_CLAMP))
-        z[rows, j] = -special.ndtri(np.maximum(pv, P_CLAMP) / 2.0)
         imputed[rows, j] = False   # z stays exactly 0 where imputed
     names = tuple(st.study_name for st in studies)
     return AlignedPanel(
@@ -202,14 +205,10 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
 def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
     """Re-export a panel as per-study records, dropping imputed entries."""
     out = []
-    z = panel.z_matrix.values
     for j, name in enumerate(panel.study_names):
-        records = {
-            snp: z_to_p(z[i, j])
-            for i, snp in enumerate(panel.snp_ids)
-            if not panel.imputed_mask[i, j]
-        }
-        out.append(StudySummary(study_name=name, records=records))
+        kept = ~panel.imputed_mask[:, j]
+        p = z_to_p(panel.z_matrix.values[kept, j])
+        out.append(StudySummary(name, dict(zip(compress(panel.snp_ids, kept), p.tolist()))))
     return out
 
 

@@ -31,6 +31,8 @@ from lrsd.solver import (
     soft_threshold,
     solve,
     svt,
+    _calls,
+    _detect,
     _gram_svt,
     _shrink,
     _svd_factors,
@@ -264,6 +266,17 @@ class TestSoftThreshold:
     def test_scalar_prox_formula(self, m, beta):
         out = soft_threshold(np.array([[m]]), beta)[0, 0]
         assert out == pytest.approx(np.sign(m) * max(abs(m) - beta, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_input_refused_before_lapack(shape):
+    # a DenseMatrix may have no rows (the writers take one); the solver refuses it
+    for m in (np.zeros(shape), DenseMatrix(np.zeros(shape))):
+        message = rf"empty {shape[0]} x {shape[1]} matrix"
+        with pytest.raises(ValueError, match=message):
+            svt(m, 1.0)
+        with pytest.raises(ValueError, match=message):
+            solve(m, SolverConfig(alpha=1.0, beta=1.0))
 
 
 def _tall_panel():
@@ -944,6 +957,21 @@ def test_solve_memory_bounded():
     assert peak <= 4.5 * D.nbytes
 
 
+def test_fallback_solve_memory_bounded():
+    # the exact-SVD fallback takes V and s from the blocks' R factors: no n x p U
+    D = _tall_panel()
+    alpha = np.linalg.norm(D, 2) / 1e5
+    with mock.patch("lrsd.solver._svd_factors", wraps=_svd_factors) as fallback:
+        tracemalloc.start()
+        try:
+            solve(D, SolverConfig(alpha=alpha, beta=2 * alpha / math.sqrt(D.shape[0])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert fallback.call_count > 0
+    assert peak <= 2.5 * D.nbytes
+
+
 class TestOptimalityResidual:
     def test_zero_not_optimal_for_large_data(self):
         D = np.diag([10.0, 0.0])
@@ -976,6 +1004,32 @@ class TestDetect:
         for T in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
                 detect(res, T)
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025, 5000])   # 1, 1, 2 and 5 row blocks at p = 32
+def test_blockwise_detect_matches_whole_matrix_rule(n):
+    rng = np.random.default_rng(n)
+    T = 0.75
+    X, E = rng.normal(size=(2, n, 32))
+    for a in (X, E):   # entries at exactly +-T and at -0.0 are not calls
+        a.flat[rng.choice(a.size, size=min(a.size, 40), replace=False)] = rng.choice(
+            [T, -T, -0.0, 0.0], size=min(a.size, 40))
+    mask = _detect(X, E, T)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, np.logical_or(*_calls(X, E, T)))
+    assert np.array_equal(mask, (np.abs(X) > T) | (np.abs(E) > T))
+
+
+def test_blockwise_detect_memory_bounded():
+    rng = np.random.default_rng(3)
+    X, E = rng.normal(size=(2, 60_000, 32))
+    tracemalloc.start()
+    try:
+        mask = _detect(X, E, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mask.nbytes
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import lrsd
 from lrsd.sumstats import (
@@ -171,6 +172,39 @@ class TestPToZ:
         assert all(a > b for a, b in zip(zs, zs[1:]) if a != b) or np.all(np.diff(zs) < 0)
 
 
+def _scalar_p_to_z(p):
+    """The scalar p-to-z rule, one Python float at a time: the arrays' oracle."""
+    return float(-special.ndtri(max(p, P_CLAMP) / 2.0))
+
+
+EDGE_P = [1.0, 0.5, P_CLAMP, np.nextafter(P_CLAMP, 1.0), 1e-310, 5e-324]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(st.floats(5e-324, 1.0), st.sampled_from(EDGE_P)), max_size=60),
+       st.sampled_from([(-1,), (-1, 3)]))
+def test_p_and_z_conversions_on_arrays_match_scalar_map(ps, shape):
+    ps = np.array(EDGE_P + ps + [1.0] * (-len(ps) % 3))
+    p = ps.reshape(shape)
+    z = p_to_z(p)
+    assert z.shape == p.shape
+    assert z.tobytes() == np.array([_scalar_p_to_z(v) for v in ps]).tobytes()   # -0.0 included
+    back = z_to_p(z)
+    assert back.tobytes() == np.array(
+        [float(2.0 * special.ndtr(-abs(v))) for v in z.ravel().tolist()]).tobytes()
+    for v in ps[:8]:   # a scalar gives an np.float64 with the same bits
+        assert type(p_to_z(v)) is np.float64 and type(z_to_p(v)) is np.float64
+        assert np.float64(p_to_z(v)).tobytes() == np.float64(_scalar_p_to_z(v)).tobytes()
+
+
+def test_p_to_z_names_the_first_bad_p_in_array_order():
+    p = np.array([[0.5, 0.2, 3.0], [-1.0, 0.0, 0.1]])
+    with pytest.raises(ValueError, match="got 3.0"):
+        p_to_z(p)
+    with pytest.raises(ValueError, match="got -1.0"):
+        p_to_z(p.T)   # the transpose's first row is 0.5, -1.0
+
+
 def _studies():
     return [
         StudySummary("s1", {"rs1": 0.5, "rs2": 0.01, "rs3": 0.2}),
@@ -294,6 +328,30 @@ def test_align_rejects_p_outside_unit_interval(bad):
     studies = [StudySummary("a", {"rs1": 0.5, "rs2": bad}), StudySummary("b", {"rs1": 2.0})]
     with pytest.raises(ValueError, match=f"got {bad}"):
         align(studies, 1)
+
+
+def test_align_names_the_first_bad_p_in_record_order():
+    # rs9 comes after rs1 in row order, but its record comes first
+    studies = [StudySummary("a", {"rs9": 2.0, "rs1": -1.0})]
+    with pytest.raises(ValueError, match="got 2.0"):
+        align(studies, 1)
+
+
+def test_panel_to_studies_matches_per_entry_z_to_p():
+    studies = [StudySummary("a", {"rs1": 1e-310, "rs2": 1.0, "rs3": 0.02}),
+               StudySummary("b", {"rs2": 0.4, "rs3": 5e-324, "rs4": 0.9})]
+    panel = align(studies, 1)
+    z = panel.z_matrix.values
+    expected = [
+        {snp: float(2.0 * special.ndtr(-abs(z[i, j]))) for i, snp in enumerate(panel.snp_ids)
+         if not panel.imputed_mask[i, j]}
+        for j in range(2)
+    ]
+    out = panel_to_studies(panel)
+    assert [st_.study_name for st_ in out] == ["a", "b"]
+    for st_, records in zip(out, expected):
+        assert list(st_.records.items()) == list(records.items())
+        assert all(type(v) is float for v in st_.records.values())
 
 
 def test_scipy_special_is_imported_by_analyze_before_its_stage_clock(tmp_path):
