@@ -64,18 +64,24 @@ class DenseMatrix:
         return self.values.shape
 
 
-def as_array(m) -> np.ndarray:
+def as_array(m, name: str) -> np.ndarray:
     """Accept a DenseMatrix or a plain array and return the float ndarray.
 
-    Every solver entry point takes its matrices through here, so a matrix
-    that is not 2-D or has no entries is refused before any LAPACK call.
+    Every library entry point takes its matrices through here, so a matrix
+    that is not 2-D, has no entries, or has a NaN, +Inf or -Inf entry is
+    refused with a ValueError before any LAPACK call; the finiteness error
+    names the argument `name`. A DenseMatrix is finite by construction and
+    takes no second pass.
     """
-    a = m.values if isinstance(m, DenseMatrix) else np.asarray(m, dtype=float)
+    dense = isinstance(m, DenseMatrix)
+    a = m.values if dense else np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
     if a.size == 0:
         raise ValueError(f"expected a matrix with entries, got an empty {a.shape[0]} x "
                          f"{a.shape[1]} matrix")
+    if not dense and not np.isfinite(a).all():
+        raise ValueError(f"{name} has NaN or Inf entries")
     return a
 
 
@@ -235,7 +241,9 @@ def read_tsv(path) -> DenseMatrix:
 
     Detection rule: a first line whose non-initial fields are not all numeric
     is a header; a first column that is not numeric holds row labels. Blank
-    lines are skipped; error line numbers count them.
+    lines are skipped; error line numbers count them. An entry that is not
+    a number, or is NaN, +Inf or -Inf, is refused with a ValueError that
+    names the file and line.
     """
     with open(path) as fh:
         start, lineno, first = _next_row(fh, 0)
@@ -283,14 +291,17 @@ def _next_row(fh, lineno):
 def _load_rows(fh, start, width, row_labels):
     """Labels and values of the rows from offset `start` by numpy's text
     reader, which holds no Python object per entry. (None, None) when it does
-    not take the file as the line scan would: a bad number, a ragged or
-    whitespace-only line, or a spelling only `float()` accepts such as `1_000`.
+    not take the file as the line scan would: a bad or non-finite number, a
+    ragged or whitespace-only line, or a spelling only `float()` accepts such
+    as `1_000`.
     """
     fh.seek(start)
     try:
         data = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2,
                           usecols=range(1, width) if row_labels else None)
     except ValueError:
+        return None, None
+    if not np.isfinite(data).all():   # the line scan names the line
         return None, None
     if not row_labels:
         return None, data
@@ -322,7 +333,12 @@ def _scan_rows(path, lines, width, row_labels, first_lineno):
             labels.append(fields[0])
             fields = fields[1:]
         try:
-            data.append([float(f) for f in fields])
+            row = [float(f) for f in fields]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        finite = np.isfinite(row)
+        if not finite.all():
+            raise ValueError(f"{path}:{lineno}: matrix entries must be finite, got "
+                             f"{fields[finite.argmin()].strip()!r}")
+        data.append(row)
     return labels, np.array(data, dtype=float)

@@ -25,7 +25,7 @@ def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
     X_hat is oriented SNPs x studies. Column signs are canonicalized by
     making the largest-magnitude coordinate of each column positive.
     """
-    x = as_array(X_hat)
+    x = as_array(X_hat, "X_hat")
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"embedding rank r={r} outside 1..{min(x.shape)}")
     _, s, Vt = np.linalg.svd(x, full_matrices=False)

@@ -6,6 +6,13 @@ low-rank component X and elementwise soft-thresholding for the sparse
 component E. The objective is jointly convex, so the alternation reaches the
 unique global minimum regardless of initialization.
 
+Every public function that takes a matrix goes through `matrix.as_array`,
+which refuses a NaN, +Inf or -Inf entry of a raw array with one ValueError
+that names the argument, before any LAPACK call; a DenseMatrix is finite by
+construction and is not checked again. So nothing below handles NaN. Only
+the Gram matrix of the SVT step is checked for itself, as a finite input
+can still overflow it.
+
 Singular value thresholding works through the small Gram matrix: for an
 n x p input A with p <= n (A is transposed when n < p), the eigenpairs of
 the p x p matrix A^T A give the singular values s and right singular
@@ -17,7 +24,9 @@ relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
 or s1/lam exceeds GRAM_MAX_RATIO, an exact SVD gives V and s instead: that
 of the R factors of A's row blocks, stacked, so that no n x p U is formed.
 Either way the step yields the factors (V_k, W, shrunk values), with
-W = V_k diag((s_k - lam)/s_k), and X = (A V_k) W^T.
+W = V_k diag((s_k - lam)/s_k), and X = (A V_k) W^T; the shrunk values are
+those of the k pairs kept, as the zeros of the rest add nothing to the
+nuclear norm or the rank.
 
 Only the eigenpairs of A^T A above lam^2 are computed: LAPACK's dsyevr
 with RANGE='V' reduces it to tridiagonal form, then finds just those
@@ -158,7 +167,7 @@ def _check_same_shape(*arrays):
 
 def objective(D, X, E, alpha: float, beta: float) -> float:
     """Value of 0.5*||D-X-E||_F^2 + alpha*||X||_* + beta*||E||_1."""
-    d, x, e = as_array(D), as_array(X), as_array(E)
+    d, x, e = as_array(D, "D"), as_array(X, "X"), as_array(E, "E")
     _check_same_shape(d, x, e)
     nuc = np.linalg.svd(x, compute_uv=False).sum()
     return float(0.5 * ((d - x - e) ** 2).sum() + alpha * nuc + beta * np.abs(e).sum())
@@ -170,9 +179,10 @@ def _gram_svt(G: np.ndarray, lam: float):
     Returns (V_k, W, shrunk singular values) with SVT(A) = (A V_k) W^T, or
     None when s1/lam > GRAM_MAX_RATIO and the exact SVD must be used. Only
     the eigenpairs of G above lam^2 are computed (dsyevr with RANGE='V'),
-    unless inverse iteration fails and all of them are (dsyevd); the shrunk
-    values are padded with zeros to G's order, as if every pair were known.
-    Raises LinAlgError when G is not finite or the eigensolver fails.
+    unless inverse iteration fails and all of them are (dsyevd); only the
+    shrunk values of those kept are returned, one per column of V_k. Raises
+    LinAlgError when G is not finite (a finite A can overflow its Gram
+    matrix) or the eigensolver fails.
     """
     if not np.isfinite(G).all():  # dsyevr would find no eigenvalue above vl and say nothing
         raise np.linalg.LinAlgError("Gram matrix has NaN or Inf entries")
@@ -191,14 +201,14 @@ def _gram_svt(G: np.ndarray, lam: float):
     Vk = V[:, :m][:, ::-1]
     # fl(lam*lam) may round below lam^2, so an s just past the cut can sit at lam - ulp
     s_thr = np.maximum(s - lam, 0.0)
-    return Vk, Vk * (s_thr / s), np.r_[s_thr, np.zeros(G.shape[0] - m)]
+    return Vk, Vk * (s_thr / s), s_thr
 
 
 def _svd_factors(a: np.ndarray, lam: float):
     """The SVT factors of `_gram_svt` for a tall a, through an exact SVD.
 
     V_k holds the right singular vectors whose s > lam and W = V_k diag(s_thr / s);
-    the shrunk values are one per column of a. V and s are those of the R
+    the shrunk values are those of V_k's columns. V and s are those of the R
     factors of a's row blocks (`_block_rows`), stacked: a = diag(Q_i) [R_i]
     with orthonormal Q_i, so the stack has a's singular values and vectors,
     squares nothing, and holds at most p rows per block; no n x p U is formed.
@@ -206,19 +216,20 @@ def _svd_factors(a: np.ndarray, lam: float):
     rows = _block_rows(a.shape[1])
     R = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
-    s_thr = np.maximum(s - lam, 0.0)
     k = int((s > lam).sum())
+    s_thr = s[:k] - lam
     Vk = Vt[:k].T
-    return Vk, Vk * (s_thr[:k] / s[:k]), s_thr
+    return Vk, Vk * (s_thr / s[:k]), s_thr
 
 
 def _svt(a: np.ndarray, lam: float, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SVT of a by lam written into out; returns out and the shrunk singular values.
 
-    The shrunk values max(s - lam, 0) come sorted non-increasing, one per
-    min(n, p). The factors come from the Gram route of the module docstring
-    unless lam is 0 or s1/lam > GRAM_MAX_RATIO, where an exact thin SVD gives
-    them instead; either way X = (A V_k) W^T in the tall orientation.
+    The shrunk values s - lam of the singular values kept (s > lam) come
+    sorted non-increasing; those shrunk to 0 are left out. The factors come
+    from the Gram route of the module docstring unless lam is 0 or
+    s1/lam > GRAM_MAX_RATIO, where an exact thin SVD gives them instead;
+    either way X = (A V_k) W^T in the tall orientation.
     """
     b, o = _tall(a, out)
     factors = _gram_svt(b.T @ b, lam) if lam > 0 else None
@@ -239,7 +250,7 @@ def svt(M, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError("svt threshold must be >= 0")
-    a = as_array(M)
+    a = as_array(M, "M")
     return _svt(a, lam, np.empty(a.shape))[0]
 
 
@@ -257,7 +268,7 @@ def soft_threshold(M, beta: float) -> np.ndarray:
     """Elementwise shrinkage sign(m)*max(|m|-beta, 0); the l1 prox."""
     if beta < 0:
         raise ValueError("soft threshold must be >= 0")
-    a = as_array(M)
+    a = as_array(M, "M")
     out = np.empty(a.shape)
     _shrink(a, beta, out)
     return out
@@ -267,14 +278,15 @@ def estimate_sigma(D) -> float:
     """Robust noise scale: 1.48 * median(|D - median(D)|).
 
     Medians of an even number of entries are the mid-mean of the two central
-    ones. Exact: both medians are those of `np.median`, bit for bit, and NaN
-    in D gives NaN. Each median is taken by `_median`: from a sorted sample
-    of D when that is all of D, else selected from a sampled bracket over
-    the blocks of `solve`'s sweeps, on its threads, with no n x p copy (see
-    the module docstring). Returns 0 for constant input; callers doing
-    auto-parameterization must treat that as degenerate.
+    ones. Exact: both medians are those of `np.median`, bit for bit. Each
+    median is taken by `_median`: from a sorted sample of D when that is all
+    of D, else selected from a sampled bracket over the blocks of `solve`'s
+    sweeps, on its threads, with no n x p copy (see the module docstring).
+    D with a NaN or Inf entry is refused by `as_array`. Returns 0 for
+    constant input; callers doing auto-parameterization must treat that as
+    degenerate.
     """
-    at = _tall(as_array(D))[0]
+    at = _tall(as_array(D, "D"))[0]
     with _Shares(*at.shape) as shares:
         return MAD_TO_SIGMA * _median(shares, at, _median(shares, at))
 
@@ -288,27 +300,24 @@ def _median(shares, at, med=None) -> float:
     those inside, and the central ones are selected from these. When s is 1
     (fewer than 2 * _MEDIAN_SAMPLE entries) the sorted sample is the whole
     line and gives them directly, with no pass. Returns the mean of the one
-    or two central values, as np.median does, and NaN when an entry is NaN.
-    Should the bracket miss them, np.median takes the whole line instead.
+    or two central values, as np.median does. `as_array` has refused NaN, so
+    an entry <= hi that is not in the bracket lies below it. Should the
+    bracket miss them, np.median takes the whole line instead.
     """
     size = at.size
     k0, k1 = (size - 1) // 2, size // 2
     sample = at[:: max(1, size // _MEDIAN_SAMPLE)]
     if med is not None:
         sample = np.abs(sample - med)
-    sample = np.sort(sample, axis=None)   # NaN sorts last
+    sample = np.sort(sample, axis=None)
     m = sample.size
-    if math.isnan(sample[-1]):
-        return math.nan
     if m == size:   # the sample is the whole line
         return float(np.mean(sample[k0 : k1 + 1]))
     w = 3 * math.sqrt(m)
     lo = sample[max(0, math.floor(k0 * m / size - w))]
     hi = sample[min(m - 1, math.ceil(k1 * m / size + w))]
-    ge, le, pieces = shares.sum(_bracket_share, at, med, lo, hi)
+    le, pieces = shares.sum(_bracket_share, at, med, lo, hi)
     inside = np.concatenate(pieces)
-    if ge + le - inside.size < size:   # the entries neither >= lo nor <= hi are NaN
-        return math.nan
     below = le - inside.size
     if below <= k0 and k1 < le:
         inside.partition([k0 - below, k1 - below])
@@ -321,24 +330,23 @@ def _median(shares, at, med=None) -> float:
     return float(np.median(line, overwrite_input=True))
 
 
-def _bracket_share(blocks, buf, at, med, lo, hi) -> tuple[int, int, list]:
+def _bracket_share(blocks, buf, at, med, lo, hi) -> tuple[int, list]:
     """The rows of at in `blocks` (of |at - med| when med is given) against [lo, hi].
 
-    Returns how many entries are >= lo, how many are <= hi, and, block by
-    block, those in [lo, hi]. |at - med| is formed in buf, with the
-    arithmetic of `np.abs(at - med)`.
+    Returns how many entries are <= hi and, block by block, those in
+    [lo, hi]. |at - med| is formed in buf, with the arithmetic of
+    `np.abs(at - med)`.
     """
-    ge = le = 0
+    le = 0
     inside = []
     for i, j in blocks:
         x = at[i:j]
         if med is not None:
             x = np.abs(np.subtract(x, med, out=buf[: j - i]), out=buf[: j - i])
-        m_ge, m_le = x >= lo, x <= hi
-        ge += np.count_nonzero(m_ge)
+        m_le = x <= hi
         le += np.count_nonzero(m_le)
-        inside.append(x[np.logical_and(m_ge, m_le, out=m_ge)])
-    return ge, le, inside
+        inside.append(x[np.logical_and(x >= lo, m_le, out=m_le)])
+    return le, inside
 
 
 def resolve_params(
@@ -355,20 +363,23 @@ def resolve_params(
     provenance then names that rule alpha. Returns alpha, beta, T and the
     provenance of each value as manifest text, keyed sigma_hat (present only
     when estimated), alpha, beta, threshold. Raises DegenerateInputError
-    when a value is missing and sigma_hat is not positive (constant input).
+    when a value is missing and sigma_hat is not positive (constant input),
+    and ValueError when D has a NaN or Inf entry (`as_array`), even when no
+    value is missing.
     """
-    a = as_array(D)
     given = dict(alpha=alpha, beta=beta, threshold=threshold)
     provenance = {}
-    if None in given.values():
-        sigma = estimate_sigma(a)
+    if None not in given.values():
+        as_array(D, "D")   # nothing to estimate, but D is checked all the same
+    else:
+        sigma = estimate_sigma(D)   # which checks D as as_array does
         if sigma <= 0:
             raise DegenerateInputError(
                 "noise scale estimate is not positive, so no rule can derive alpha and beta "
                 "or the threshold; supply them explicitly"
             )
         provenance["sigma_hat"] = f"{sigma!r} (rule: {_RULE_TEXT['sigma_hat']})"
-        n, p = a.shape
+        n, p = np.shape(D)
         rule_alpha = (math.sqrt(n) + math.sqrt(p)) * sigma
         rules = dict(
             alpha=rule_alpha,
@@ -568,20 +579,18 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
     returned pair also satisfies the first-order optimality conditions
     tightly; the trace stays non-increasing throughout. Hitting the
     iteration cap is reported via converged=False, not an error. D and x0
-    must be finite; NaN or Inf raises ValueError before any work. The
-    sweeps may run on one thread per usable CPU (see the module docstring),
-    all joined before solve returns or raises; the results do not depend on
-    their number.
+    go through `as_array`, so NaN or Inf in either raises ValueError before
+    any work. The sweeps may run on one thread per usable CPU (see the
+    module docstring), all joined before solve returns or raises; the
+    results do not depend on their number.
     """
-    for name, m in (("D", D), ("x0", x0)):
-        if m is not None and not np.isfinite(as_array(m)).all():
-            raise ValueError(f"solve: {name} has NaN or Inf entries")
-    d = as_array(D)
+    d = as_array(D, "D")
     labels = {}
     if isinstance(D, DenseMatrix):
         labels = dict(row_labels=D.row_labels, col_labels=D.col_labels)
     if x0 is not None:
-        _check_same_shape(d, as_array(x0))
+        x0 = as_array(x0, "x0")
+        _check_same_shape(d, x0)
 
     alpha, beta = config.alpha, config.beta
     E, E_new = np.zeros_like(d), np.empty(d.shape)
@@ -628,7 +637,7 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
     entrywise |R| <= beta where E = 0 with R = beta*sign(E) where E != 0.
     Returns the largest violation among these conditions.
     """
-    d, x, e = as_array(D), as_array(X), as_array(E)
+    d, x, e = as_array(D, "D"), as_array(X, "X"), as_array(E, "E")
     _check_same_shape(d, x, e)
     R = d - x - e
 

@@ -91,6 +91,24 @@ class TestDecompose:
         assert rc == 2
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "evaluate --x"])
+    def test_non_finite_entry_names_line(self, tmp_path, capsys, command):
+        src = tmp_path / "d.tsv"
+        src.write_text("id\ta\tb\nr1\t1\t2\nr2\tnan\t4\nr3\t5\t6\n")
+        out = tmp_path / "o"
+        if command == "decompose":
+            rc = main(["decompose", "--input", str(src), "--out", str(out)])
+        else:
+            ok = tmp_path / "ok.tsv"
+            write_tsv(DenseMatrix(np.zeros((3, 2))), ok)
+            rc = main(["evaluate", "--x", str(src), "--e", str(ok), "--truth", str(ok),
+                       "--threshold", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (
+            f"error: {src}:3: matrix entries must be finite, got 'nan'\n", "")
+        assert not out.exists()
+
     @pytest.mark.parametrize("blocked", ["out", "X.tsv", "trace.tsv", "manifest.txt"])
     def test_unwritable_out(self, tmp_path, capsys, blocked):
         src = tmp_path / "m.tsv"

@@ -42,10 +42,10 @@ def test_shape_properties():
 
 def test_as_array_passthrough():
     a = np.ones((2, 2))
-    assert as_array(a) is not None
-    assert np.array_equal(as_array(DenseMatrix(a)), a)
+    assert as_array(a, "a") is not None
+    assert np.array_equal(as_array(DenseMatrix(a), "a"), a)
     with pytest.raises(ValueError):
-        as_array(np.ones(3))
+        as_array(np.ones(3), "a")
 
 
 def test_tsv_roundtrip_plain(tmp_path):
@@ -81,6 +81,26 @@ def test_read_bad_number_reports_line(tmp_path):
     p.write_text("1\t2\n3\tx\n")
     with pytest.raises(ValueError, match=":2"):
         read_tsv(p)
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+@pytest.mark.parametrize("row", [0, 2], ids=["first row", "third row"])
+@pytest.mark.parametrize("spelling", ["nan", "-inf", "Infinity", "NaN"])
+def test_read_non_finite_names_line(tmp_path, spelling, row, labelled):
+    # numpy's reader and float() both take these spellings; the entry is refused,
+    # and the line named counts the blank lines before it
+    rows = [["1.5", "2"], ["3", "4"], ["5", "6"]]
+    rows[row][1] = spelling
+    lines = ["", "id\ta\tb" if labelled else "", " "]
+    for i, fields in enumerate(rows):
+        lines += [""] + ["\t".join([f"r{i}"] * labelled + fields)]
+    p = tmp_path / "m.tsv"
+    p.write_text("\n".join(lines) + "\n")
+    line = lines.index("\t".join([f"r{row}"] * labelled + rows[row])) + 1
+    message = f"{p}:{line}: matrix entries must be finite, got {spelling!r}"
+    with pytest.raises(ValueError) as err:
+        read_tsv(p)
+    assert str(err.value) == message
 
 
 def test_read_empty_errors(tmp_path):

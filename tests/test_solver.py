@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.linalg import lapack
 from lrsd import solver
 from lrsd.matrix import DenseMatrix
 from lrsd.metrics import benchmark_grid
+from lrsd.reporting import embed_studies
 from lrsd.simulate import generate
 from lrsd.solver import (
     GRAM_MAX_RATIO,
@@ -126,6 +126,9 @@ def test_svt_matches_svd_oracle(case):
     s_oracle = np.maximum(s - lam, 0.0)
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
         X, s_thr = _svt(M, lam, np.empty(M.shape))
+    # only the kept values are returned: pad with the zeros of the rest of the spectrum
+    assert s_thr.size <= s_oracle.size
+    s_thr = np.r_[s_thr, np.zeros(s_oracle.size - s_thr.size)]
     err = np.linalg.norm(X - (U * s_oracle) @ Vt) / max(np.linalg.norm(M), 1e-300)
     target(err)  # steer the search towards the spectra the Gram route handles worst
     assert err <= 1e-10
@@ -145,7 +148,7 @@ def _eigh_gram_svt(G, lam):
         return None
     k = int((s > lam).sum())
     Vk = V[:, ::-1][:, :k]
-    return Vk, Vk * ((s[:k] - lam) / s[:k]), np.maximum(s - lam, 0.0)
+    return Vk, Vk * ((s[:k] - lam) / s[:k]), s[:k] - lam
 
 
 def _gram_case(kinds, log_lam, seed):
@@ -193,7 +196,10 @@ def test_gram_svt_matches_full_eigh(kinds, log_lam, seed):
 
 def _assert_gram_factors_agree(A, lam, got, want):
     (Vk, W, s_thr), (Vk0, W0, s_thr0) = got, want
-    assert s_thr.shape == s_thr0.shape == (A.shape[1],)
+    # the kept shrunk values, one per column of V_k, padded to the full spectrum
+    p = A.shape[1]
+    assert s_thr.shape == (Vk.shape[1],) and s_thr0.shape == (Vk0.shape[1],)
+    s_thr, s_thr0 = (np.r_[v, np.zeros(p - v.size)] for v in (s_thr, s_thr0))
     assert np.all(s_thr[:-1] >= s_thr[1:]) and np.all(s_thr >= 0)
     # the Gram route's error grows like eps * s1/lam on both sides, relative to ||A||
     s1 = np.linalg.norm(A, 2)
@@ -229,9 +235,11 @@ def test_gram_svt_raises_on_illegal_argument():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_svt_refuses_non_finite_input(bad):
+    # refused at the boundary (matrix.as_array), before LAPACK sees it
     M = np.ones((4, 3))
     M[1, 1] = bad
-    with pytest.raises(np.linalg.LinAlgError):
+    with mock.patch.object(lapack, "dsyevr", side_effect=AssertionError("LAPACK called")), \
+            pytest.raises(ValueError, match="^M has NaN or Inf entries$"):
         svt(M, 0.5)
 
 
@@ -277,6 +285,58 @@ def test_empty_input_refused_before_lapack(shape):
             svt(m, 1.0)
         with pytest.raises(ValueError, match=message):
             solve(m, SolverConfig(alpha=1.0, beta=1.0))
+
+
+_OK = np.random.default_rng(5).normal(size=(40, 6)) + 3 * np.outer(np.arange(40), np.ones(6))
+_CFG = SolverConfig(alpha=1.0, beta=1.0)
+# entry point -> (call on the matrix under test, the argument name its error gives)
+_BOUNDARY = {
+    "svt": (lambda m: svt(m, 1.0), "M"),
+    "soft_threshold": (lambda m: soft_threshold(m, 1.0), "M"),
+    "estimate_sigma": (estimate_sigma, "D"),
+    "resolve_params": (resolve_params, "D"),
+    "resolve_params, all given": (lambda m: resolve_params(m, 1.0, 1.0, 1.0), "D"),
+    "auto_config": (auto_config, "D"),
+    "objective D": (lambda m: objective(m, _OK, _OK, 1.0, 1.0), "D"),
+    "objective X": (lambda m: objective(_OK, m, _OK, 1.0, 1.0), "X"),
+    "objective E": (lambda m: objective(_OK, _OK, m, 1.0, 1.0), "E"),
+    "optimality_residual D": (lambda m: optimality_residual(m, _OK, _OK, 1.0, 1.0), "D"),
+    "optimality_residual X": (lambda m: optimality_residual(_OK, m, _OK, 1.0, 1.0), "X"),
+    "optimality_residual E": (lambda m: optimality_residual(_OK, _OK, m, 1.0, 1.0), "E"),
+    "embed_studies": (lambda m: embed_studies(m, 1), "X_hat"),
+    "solve D": (lambda m: solve(m, _CFG), "D"),
+    "solve x0": (lambda m: solve(_OK, _CFG, x0=m), "x0"),
+}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", list(_BOUNDARY))
+def test_non_finite_input_refused_at_the_boundary(entry, bad, layout):
+    # one ValueError from matrix.as_array, naming the argument, before any LAPACK
+    # or np.linalg call
+    call, name = _BOUNDARY[entry]
+    m = _OK.copy() if layout == "contiguous" else _OK.T.copy().T   # a strided view
+    m[17, 4] = bad
+    fail = dict(side_effect=AssertionError("LAPACK or np.linalg called"))
+    with mock.patch.object(lapack, "dsyevr", **fail), \
+            mock.patch.object(np.linalg, "svd", **fail), \
+            mock.patch.object(np.linalg, "qr", **fail), \
+            pytest.raises(ValueError, match=f"^{name} has NaN or Inf entries$"):
+        call(m)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["raw array", "DenseMatrix"])
+def test_finiteness_checked_once(dense):
+    # a raw D is checked in one pass by auto_config and one by solve; a DenseMatrix,
+    # finite by construction, in none
+    D = DenseMatrix(_OK) if dense else _OK.copy()
+    data = D.values if dense else D
+    for call in (auto_config, lambda m: solve(m, _CFG)):
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as spy:
+            call(D)
+        passes = sum(np.shares_memory(c.args[0], data) for c in spy.call_args_list)
+        assert passes == (0 if dense else 1)
 
 
 def _tall_panel():
@@ -362,19 +422,17 @@ class TestSigmaAndParams:
         a = {"tall": a, "wide": a.T.copy(), "transposed": a.T}[layout]
         sample = data.draw(st.sampled_from([4, 16, 64, 1 << 15]))
         before, baseline = a.copy(), threading.active_count()
-        # inf - inf and overflow warn in the oracle as in estimate_sigma, on every thread
-        with warnings.catch_warnings(), \
-                mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
+        finite = np.isfinite(a).all()
+        with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
                 mock.patch("lrsd.solver._MEDIAN_SAMPLE", sample):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
             for threads in (1, 2, 3, 8):
                 with mock.patch("lrsd.solver._sweep_threads", lambda k, t=threads: min(t, k)):
-                    got = estimate_sigma(a)
-                if math.isnan(oracle):
-                    assert math.isnan(got)
-                else:
-                    assert got == oracle   # bit for bit
+                    if finite:
+                        oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+                        assert estimate_sigma(a) == oracle   # bit for bit
+                    else:   # NaN and Inf are refused at the boundary, before any thread
+                        with pytest.raises(ValueError, match="^D has NaN or Inf entries$"):
+                            estimate_sigma(a)
                 assert threading.active_count() == baseline
         assert np.array_equal(a, before, equal_nan=True)   # the caller's array is untouched
 
@@ -416,22 +474,18 @@ class TestSigmaAndParams:
         layout = data.draw(st.sampled_from(["tall", "wide", "transposed"]))
         a = {"tall": a, "wide": a.T.copy(), "transposed": a.T}[layout]
         before, baseline = a.copy(), threading.active_count()
-        with warnings.catch_warnings(), \
-                mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
+        with mock.patch("lrsd.solver._SWEEP_BYTES", 8 * short * rows), \
                 mock.patch("lrsd.solver._MEDIAN_SAMPLE", sample), \
                 mock.patch("lrsd.solver._sweep_threads", lambda k: min(2, k)), \
                 mock.patch("lrsd.solver._bracket_share", wraps=solver._bracket_share) as bracket:
-            warnings.simplefilter("ignore", RuntimeWarning)   # inf - inf, as in the oracle
-            oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
-            got = estimate_sigma(a)
-        if math.isnan(oracle):
-            assert math.isnan(got)
-        else:
-            assert got == oracle   # bit for bit
-        if whole:
-            assert not bracket.called
-        elif not np.isnan(a).any():   # NaN in the sample ends a median before its pass
-            assert bracket.called
+            if np.isfinite(a).all():
+                oracle = 1.48 * float(np.median(np.abs(a - float(np.median(a)))))
+                assert estimate_sigma(a) == oracle   # bit for bit
+                assert bracket.called != whole
+            else:   # NaN and Inf are refused at the boundary, before any pass
+                with pytest.raises(ValueError, match="^D has NaN or Inf entries$"):
+                    estimate_sigma(a)
+                assert not bracket.called
         assert np.array_equal(a, before, equal_nan=True)   # the caller's array is untouched
         assert threading.active_count() == baseline
 
