@@ -240,7 +240,10 @@ def read_tsv(path) -> DenseMatrix:
     """Read a TSV matrix, auto-detecting a header row and a label column.
 
     Detection rule: a first line whose non-initial fields are not all numeric
-    is a header; a first column that is not numeric holds row labels. Blank
+    is a header; a first column that is not numeric holds row labels. The
+    first data row alone decides the column unless its first field reads as
+    NaN or Inf, as a label such as `nan` does: then the column holds labels
+    when any of its other fields is not numeric. Blank
     lines are skipped; error line numbers count them. An entry that is not
     a number, or is NaN, +Inf or -Inf, is refused with a ValueError that
     names the file and line.
@@ -256,6 +259,8 @@ def read_tsv(path) -> DenseMatrix:
             if first is None:
                 raise ValueError(f"{path}: header but no data rows")
         row_labels = not _numeric(first[0])
+        if not row_labels and not np.isfinite(float(first[0])):
+            row_labels = not all(_numeric(line.partition("\t")[0]) for line in fh if line.strip())
         width = len(first)
         labels, data = _load_rows(fh, start, width, row_labels)
         if data is None:

@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .matrix import DenseMatrix, _write_shares, as_array
-from .solver import SolverResult, _calls, numerical_rank
+from .solver import SolverResult, _calls, _right_svd, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
     x = as_array(X_hat, "X_hat")
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"embedding rank r={r} outside 1..{min(x.shape)}")
-    _, s, Vt = np.linalg.svd(x, full_matrices=False)
+    s, Vt = _right_svd(x)
     rank = numerical_rank(s)
     if r > rank:
         raise ValueError(f"embedding rank r={r} exceeds the numerical rank {rank}")
@@ -89,7 +89,8 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
     snp_ids = _labels(X, 0, "row")
     studies = _labels(X, 1, "col")
 
-    row_max = np.abs(X.values).max(axis=1)  # the max_magnitude column and the sort key
+    # the max_magnitude column and the sort key: max |X| per row, with no |X| array
+    row_max = np.maximum(X.values.max(axis=1), -X.values.min(axis=1))
     rows = np.flatnonzero(x_calls.any(axis=1))
     rows = rows[np.argsort(-row_max[rows], kind="stable")]
 

@@ -22,7 +22,9 @@ shrunk singular values it returns give the nuclear norm of X for free.
 Squaring A costs digits in the small singular values only: the error in X,
 relative to ||A||, grows like machine epsilon times s1/lam. When lam is 0
 or s1/lam exceeds GRAM_MAX_RATIO, an exact SVD gives V and s instead: that
-of the R factors of A's row blocks, stacked, so that no n x p U is formed.
+of the R factors of A's row blocks, stacked, so that no n x p U is formed
+(`_right_svd`, which also gives `objective` its nuclear norm and
+`reporting.embed_studies` its singular pairs).
 Either way the step yields the factors (V_k, W, shrunk values), with
 W = V_k diag((s_k - lam)/s_k), and X = (A V_k) W^T; the shrunk values are
 those of the k pairs kept, as the zeros of the rest add nothing to the
@@ -169,7 +171,7 @@ def objective(D, X, E, alpha: float, beta: float) -> float:
     """Value of 0.5*||D-X-E||_F^2 + alpha*||X||_* + beta*||E||_1."""
     d, x, e = as_array(D, "D"), as_array(X, "X"), as_array(E, "E")
     _check_same_shape(d, x, e)
-    nuc = np.linalg.svd(x, compute_uv=False).sum()
+    nuc = _right_svd(_tall(x)[0])[0].sum()
     return float(0.5 * ((d - x - e) ** 2).sum() + alpha * nuc + beta * np.abs(e).sum())
 
 
@@ -204,18 +206,27 @@ def _gram_svt(G: np.ndarray, lam: float):
     return Vk, Vk * (s_thr / s), s_thr
 
 
-def _svd_factors(a: np.ndarray, lam: float):
-    """The SVT factors of `_gram_svt` for a tall a, through an exact SVD.
+def _right_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values s and right singular vectors Vt of a, as the thin
+    `np.linalg.svd` gives them, with no U.
 
-    V_k holds the right singular vectors whose s > lam and W = V_k diag(s_thr / s);
-    the shrunk values are those of V_k's columns. V and s are those of the R
-    factors of a's row blocks (`_block_rows`), stacked: a = diag(Q_i) [R_i]
-    with orthonormal Q_i, so the stack has a's singular values and vectors,
-    squares nothing, and holds at most p rows per block; no n x p U is formed.
+    They are those of the R factors of a's row blocks (`_block_rows`),
+    stacked: a = diag(Q_i) [R_i] with orthonormal Q_i, so the stack has a's
+    singular values and right vectors, squares nothing, and holds at most p
+    rows per block (Chan's R-SVD, block by block); no n x p U is formed.
     """
     rows = _block_rows(a.shape[1])
     R = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
-    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    return np.linalg.svd(R, full_matrices=False)[1:]
+
+
+def _svd_factors(a: np.ndarray, lam: float):
+    """The SVT factors of `_gram_svt` for a tall a, through the exact `_right_svd`.
+
+    V_k holds the right singular vectors whose s > lam and W = V_k diag(s_thr / s);
+    the shrunk values are those of V_k's columns.
+    """
+    s, Vt = _right_svd(a)
     k = int((s > lam).sum())
     s_thr = s[:k] - lam
     Vk = Vt[:k].T
@@ -665,9 +676,16 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
 def _calls(X: np.ndarray, E: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
     """The call rule, after checking T: the masks |X| > T (shared calls, from
     the low-rank part) and |E| > T (study-specific calls, from the sparse
-    part). `detect`, the SNP report and `lrsd evaluate` all call through it."""
+    part). `detect`, the SNP report and `lrsd evaluate` all call through it.
+    Each mask is built one row block (`_block_rows`) at a time, so that no
+    n x p float temporary is made."""
     _check_threshold(T)
-    return np.abs(X) > T, np.abs(E) > T
+    masks = np.empty(X.shape, dtype=bool), np.empty(E.shape, dtype=bool)
+    rows = _block_rows(X.shape[1])
+    for i in range(0, len(X), rows):
+        for a, mask in zip((X, E), masks):
+            np.greater(np.abs(a[i : i + rows]), T, out=mask[i : i + rows])
+    return masks
 
 
 def _detect(X: np.ndarray, E: np.ndarray, T) -> np.ndarray:

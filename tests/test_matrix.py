@@ -103,6 +103,27 @@ def test_read_non_finite_names_line(tmp_path, spelling, row, labelled):
     assert str(err.value) == message
 
 
+def test_read_non_finite_first_label(tmp_path):
+    # a first row label that float() takes: the rest of the first column decides
+    p = tmp_path / "m.tsv"
+    p.write_text("id\ta\tb\nnan\t1\t2\nrs2\t3\t4\n")
+    m = read_tsv(p)
+    assert m.row_labels == ("nan", "rs2") and m.col_labels == ("a", "b")
+    assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("text, spelling", [
+    ("a\tb\tc\nnan\t1\t2\n3\t4\t5\n", "nan"),   # a numeric first column: no labels
+    ("1\t2\ninf\t3\n", "inf"),                  # no header, and decided by a finite row
+])
+def test_read_non_finite_first_field_unlabelled(tmp_path, text, spelling):
+    p = tmp_path / "m.tsv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_tsv(p)
+    assert str(err.value) == f"{p}:2: matrix entries must be finite, got {spelling!r}"
+
+
 def test_read_empty_errors(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -62,6 +63,19 @@ class TestEmbedStudies:
         )
         rebuilt = (U[:, :r] * signs) @ emb.coordinates.T
         assert np.linalg.norm(X - rebuilt) == pytest.approx(tail, abs=1e-8)
+
+    def test_memory_bounded(self):
+        # the singular pairs come from the blocks' stacked R factors: no n x p U
+        rng = np.random.default_rng(4)
+        X = DenseMatrix(rng.normal(size=(60_000, 2)) @ rng.normal(size=(2, 32)))
+        tracemalloc.start()
+        try:
+            emb = embed_studies(X, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.coordinates.shape == (32, 2)
+        assert peak < 0.25 * X.values.nbytes
 
     def test_planted_clusters_recovered(self):
         # 3 groups of studies built from 3 orthogonal study-side factors

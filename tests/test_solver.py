@@ -34,6 +34,7 @@ from lrsd.solver import (
     _calls,
     _detect,
     _gram_svt,
+    _right_svd,
     _shrink,
     _svd_factors,
     _svt,
@@ -1024,6 +1025,62 @@ def test_fallback_solve_memory_bounded():
             tracemalloc.stop()
     assert fallback.call_count > 0
     assert peak <= 2.5 * D.nbytes
+
+
+@st.composite
+def right_svd_cases(draw):
+    """(U * s) @ V^T, tall or wide, of one row block (`_block_rows`) or many, of any rank.
+
+    Rank 0 is the zero matrix; the singular values below s1 spread over up to
+    12 decades, or repeat, so that some right vectors are not unique.
+    """
+    n, p = draw(st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),        # one block, tall or wide
+        st.tuples(st.integers(1025, 3000), st.just(32)),          # tall, 2 or 3 blocks
+        st.tuples(st.integers(7, 60), st.integers(4097, 5000)),   # wide, 1 to 10 blocks
+    ))
+    rank = draw(st.integers(0, min(n, p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s1 = 10.0 ** draw(st.floats(-3, 3))
+    rest = s1 * 10.0 ** -rng.uniform(0, draw(st.floats(0, 12)), max(rank - 1, 0))
+    if draw(st.booleans()):
+        rest = np.repeat(rest[: (len(rest) + 1) // 2], 2)[: len(rest)]
+    s = np.r_[s1, rest][:rank]
+    U = np.linalg.qr(rng.normal(size=(n, rank)))[0]
+    V = np.linalg.qr(rng.normal(size=(p, rank)))[0]
+    return (U * s) @ V.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(right_svd_cases())
+def test_right_svd_matches_svd(a):
+    # values to 64 eps s1; a right vector, where it is unique (its singular value
+    # 1e-6 s1 clear of every other, the zeros of a wide matrix's null space
+    # included), to 256 eps s1 / gap up to sign, as perturbation theory bounds it
+    eps = np.finfo(float).eps
+    _, s_ref, Vt_ref = np.linalg.svd(a, full_matrices=False)
+    s, Vt = _right_svd(a)
+    assert s.shape == s_ref.shape and Vt.shape == Vt_ref.shape
+    assert np.abs(s - s_ref).max() <= 64 * eps * s_ref[0]
+    spectrum = np.r_[s_ref, np.zeros(a.shape[1] - s_ref.size)]
+    for j in range(s_ref.size):
+        gap = np.delete(np.abs(spectrum - spectrum[j]), j).min(initial=np.inf)
+        if gap > 1e-6 * s_ref[0]:
+            err = min(np.linalg.norm(Vt[j] - Vt_ref[j]), np.linalg.norm(Vt[j] + Vt_ref[j]))
+            assert err <= 256 * eps * s_ref[0] / gap
+
+
+def test_calls_memory_bounded():
+    # the two bool masks and one block's |X|: no n x p float temporary
+    rng = np.random.default_rng(5)
+    X, E = rng.normal(size=(2, 60_000, 32))
+    tracemalloc.start()
+    try:
+        _calls(X, E, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * X.nbytes
 
 
 class TestOptimalityResidual:
