@@ -13,8 +13,9 @@ its path:
 
 A single run per command would sit inside the machine's drift between
 runs: on a 2-vCPU VM two runs of analyze ten minutes apart differed by a
-fifth. It appends one record to `--out` (a JSON list): the commit, the
-machine, and per command the median over its runs of its wall and CPU
+fifth. It appends one record to `--out` (a JSON list): the commit and
+whether tracked files differ from it (both null outside a git checkout),
+the machine, and per command the median over its runs of its wall and CPU
 time, of each `time_<stage>_s` of its manifest, of its `ru_maxrss` and
 `ru_minflt` (minor page faults, which show the copy-on-write cost of the
 forked TSV writers) from `os.wait4` and of the bytes of each output file,
@@ -81,8 +82,18 @@ def medians(runs: list[dict]) -> dict:
             for key, value in runs[0].items()}
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+def git_state(root: Path = ROOT) -> tuple[str | None, bool | None]:
+    """The commit checked out at `root` and whether tracked files differ from
+    it; (None, None) when git is missing or `root` is not in a git checkout,
+    so that a record of such a copy claims no commit and no clean code."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    try:
+        return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
 
 
 def main() -> int:
@@ -106,10 +117,11 @@ def main() -> int:
             runs["decompose"].append(run_child(["decompose", "--input", str(an / "z.tsv")], dec))
         residual_rel, (f1,) = check_analyze(an, dict(truth=load_truth(panel)))
 
+    commit, dirty = git_state()
     record = dict(
-        commit=git("rev-parse", "HEAD"),
+        commit=commit,
         # tracked files differ from the commit: the record measures uncommitted code
-        dirty=bool(git("status", "--porcelain", "--untracked-files=no")),
+        dirty=dirty,
         date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         rows=args.rows,
         seed=args.seed,

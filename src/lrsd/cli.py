@@ -201,7 +201,11 @@ def cmd_evaluate(args) -> int:
                     raise _Refusal("give --threshold (e.g. from the decompose manifest) "
                                    "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
-                T = resolve_params(read_tsv(args.input))[2]
+                D = read_tsv(args.input)
+                if D.shape != X.shape:
+                    raise ValueError(f"{args.input} is {D.shape[0]} x {D.shape[1]} but {args.x} "
+                                     f"is {X.shape[0]} x {X.shape[1]}")
+                T = resolve_params(D)[2]
             pred = _detect(X.values, E.values, T)
         else:
             raise _Refusal("give either --mask or both --x and --e")
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mask")
     p_eval.add_argument("--truth")
     p_eval.add_argument("--input", default=None,
-                        help="raw data matrix, used to auto-derive the threshold")
+                        help="raw data matrix of X's shape, used to auto-derive the threshold")
     p_eval.add_argument("--threshold", type=float, default=None)
     p_eval.add_argument("--benchmark", action="store_true",
                         help="run the full 4-pattern x 3-divisor benchmark")

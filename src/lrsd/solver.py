@@ -6,6 +6,12 @@ low-rank component X and elementwise soft-thresholding for the sparse
 component E. The objective is jointly convex, so the alternation reaches the
 unique global minimum regardless of initialization.
 
+The soft-threshold is the identity minus the projection onto the
+l-infinity ball of radius beta (the Moreau decomposition of the l1 prox):
+E = u - clip(u, -beta, beta), one clip and one subtraction per entry. Its
+nonzero entries are those of sign(u)*max(|u| - beta, 0) bit for bit, and
+its zeros are u - u = +0.0, so no entry of E is -0.0.
+
 Every public function that takes a matrix goes through `matrix.as_array`,
 which refuses a NaN, +Inf or -Inf entry of a raw array with one ValueError
 that names the argument, before any LAPACK call; a DenseMatrix is finite by
@@ -266,17 +272,22 @@ def svt(M, lam: float) -> np.ndarray:
 
 
 def _shrink(a: np.ndarray, beta: float, out: np.ndarray) -> float:
-    """Soft-threshold a by beta into out; returns ||out||_1."""
-    np.abs(a, out=out)
-    out -= beta
-    np.maximum(out, 0.0, out=out)
-    l1 = float(out.sum())
-    np.copysign(out, a, out=out)
-    return l1
+    """Soft-threshold a by beta into out, as a - clip(a, -beta, beta) (see the
+    module docstring); returns ||out||_1.
+
+    Where |a| > beta this is fl(|a| - beta) with a's sign, the bits of
+    sign(a)*max(|a|-beta, 0); elsewhere it is a - a = +0.0. The l1 sum is
+    taken over out itself, in its layout: summing a copy of another layout
+    would add in another order and move the objective by round-off.
+    """
+    np.clip(a, -beta, beta, out=out)
+    np.subtract(a, out, out=out)
+    return float(np.abs(out).sum())
 
 
 def soft_threshold(M, beta: float) -> np.ndarray:
-    """Elementwise shrinkage sign(m)*max(|m|-beta, 0); the l1 prox."""
+    """Elementwise shrinkage sign(m)*max(|m|-beta, 0), the l1 prox, computed
+    as m - clip(m, -beta, beta): its zeros are +0.0."""
     if beta < 0:
         raise ValueError("soft threshold must be >= 0")
     a = as_array(M, "M")

@@ -45,6 +45,7 @@ def p_to_z(p):
     The one home of the p-to-z rule. Takes a scalar (giving an np.float64) or
     an array, elementwise. Raises ValueError naming the first p, in array
     order, outside (0, 1] (NaN included); p below P_CLAMP is taken as P_CLAMP.
+    A p of 1 gives +0.0.
     """
     from scipy import special   # here, so that commands without p-values skip its import
 
@@ -52,7 +53,7 @@ def p_to_z(p):
     bad = ~((p > 0.0) & (p <= 1.0))
     if bad.any():
         raise ValueError(f"p-value must be in (0, 1], got {float(p[bad].flat[0])}")
-    return -special.ndtri(np.maximum(p, P_CLAMP) / 2.0)
+    return 0.0 - special.ndtri(np.maximum(p, P_CLAMP) / 2.0)   # p = 1 gives +0.0, not -0.0
 
 
 def z_to_p(z):

@@ -299,6 +299,24 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == f"error: {x} is 100 x 50 but {e} is 1 x 50\n"
 
+    @pytest.mark.parametrize("shape", [(7, 3), (50, 100)])
+    def test_input_and_x_shape_mismatch(self, tmp_path, capsys, shape):
+        # --input only gives sigma_hat for T, but it must be the data X and E came from
+        rng = np.random.default_rng(4)
+        x, e, d = tmp_path / "X.tsv", tmp_path / "E.tsv", tmp_path / "D.tsv"
+        write_tsv(DenseMatrix(rng.normal(size=(100, 50))), x)
+        write_tsv(DenseMatrix(np.zeros((100, 50))), e)
+        write_tsv(DenseMatrix(np.zeros((100, 50))), tmp_path / "truth.tsv")
+        write_tsv(DenseMatrix(rng.normal(size=shape)), d)
+        out = tmp_path / "rep.tsv"
+        rc = main(["evaluate", "--x", str(x), "--e", str(e), "--truth", str(tmp_path / "truth.tsv"),
+                   "--input", str(d), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {d} is {shape[0]} x {shape[1]} but {x} is 100 x 50\n"
+        assert not out.exists()
+
     def test_missing_args(self, tmp_path, capsys):
         rc = main(["evaluate", "--truth", "x.tsv"])
         assert rc == 2
@@ -482,7 +500,7 @@ def _golden_manifest(tmp_path):
 
     Studies skip about 8% of SNPs (imputed entries); a shared block and a
     few spikes make both reports non-empty. study0 carries one p below the
-    clamp, one p = 1 (z = -0.0) and one blank line.
+    clamp, one p = 1 (z = 0.0) and one blank line.
     """
     rng = random.Random(20150101)
     lines = []
@@ -511,10 +529,10 @@ def _golden_manifest(tmp_path):
 # sha256 of each output, recorded from the per-entry writers and parsers
 # that the bulk text layers replaced
 GOLDEN_SHA256 = {
-    "z.tsv": "8fda6600009a2cf0d4033f390b9d130e620fbf23467baed9c5d24713477352d3",
+    "z.tsv": "6db1017af3a4860277b15f3290c3fd41f8088e020ffa8fcdb2f879b618a2b5f2",
     "imputed_mask.tsv": "84a7ba4377fa1aac008368532de73eabd15d5e080719a08e77e6dfe9c02a2767",
     "X.tsv": "15eb23f5e2d8a68e8503d48d9482bfed7c7cf4a3bf52f1773ddc54e36cc95c8f",
-    "E.tsv": "c96223ce06a1087f3518ff5eed29eb249e7d64972b802185ba2714633f1fdbdf",
+    "E.tsv": "78d3b7317a5122d8e31446c46c6d9532465da42cbc127be8307d150cc5d4d10c",
     "embedding.tsv": "79875161885995abedb1807d023ea24f3ff99842d75cabbad21baeac4f2fb718",
     "shared.tsv": "a1c7698dbff333d380003bf72159ace27464a3e5ae466c4a85ac794c1f34be54",
     "specific.tsv": "4248ce56fc4b04d1c7457f84edd0881cd029b547d3c25618845059bdf3f19cb7",

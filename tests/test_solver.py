@@ -277,6 +277,57 @@ class TestSoftThreshold:
         assert out == pytest.approx(np.sign(m) * max(abs(m) - beta, 0.0), abs=1e-12)
 
 
+def _copysign_shrink(a, beta, out):
+    """The sign-transfer form of the l1 prox, max(|a| - beta, 0) with a's sign
+    (zeros take a's sign too); returns ||out||_1. The oracle of `_shrink`."""
+    np.abs(a, out=out)
+    out -= beta
+    np.maximum(out, 0.0, out=out)
+    l1 = float(out.sum())
+    np.copysign(out, a, out=out)
+    return l1
+
+
+def _assert_same_prox(got, want):
+    """Same magnitudes and nonzero signs, bit for bit, and no -0.0 in `got`."""
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    nonzero = want != 0
+    assert np.array_equal(got != 0, nonzero)
+    assert np.array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+    assert not (np.signbit(got) & (got == 0)).any()
+
+
+def _layout(draw, shape, name):
+    """An empty array of `shape`: C-ordered, transposed, or a transposed column slice
+    (as a wide input's E rows are in a sweep)."""
+    kind = draw(st.sampled_from(["C", "T", "slice"]), label=name)
+    if kind == "C":
+        return np.empty(shape)
+    if kind == "T":
+        return np.empty(shape[::-1]).T
+    return np.empty((shape[1], shape[0] + 3)).T[1:shape[0] + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shrink_matches_copysign_oracle(data):
+    beta = data.draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 0.5, 1.0, 1e300]),
+                               st.floats(0.0, 1e6)), label="beta")
+    edges = [beta, -beta, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+             1e300, -1e300, np.nextafter(beta, np.inf), -np.nextafter(beta, 0.0)]
+    shape = data.draw(st.tuples(st.integers(1, 9), st.integers(1, 9)), label="shape")
+    a = _layout(data.draw, shape, "a")
+    a[...] = data.draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(edges), st.floats(-1e300, 1e300))), label="values")
+    out = _layout(data.draw, shape, "out")   # both rules write into it, so sum in its layout
+    want_l1 = _copysign_shrink(a, beta, out)
+    want = out.copy()
+    l1 = _shrink(a, beta, out)
+    _assert_same_prox(out, want)
+    assert np.float64(l1).tobytes() == np.float64(want_l1).tobytes()
+    _assert_same_prox(soft_threshold(a, beta), want)
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_empty_input_refused_before_lapack(shape):
     # a DenseMatrix may have no rows (the writers take one); the solver refuses it
@@ -996,6 +1047,34 @@ def test_grid_solves_match_full_eigh_oracle():
         assert res.nnz_of_E == oracle.nnz_of_E, spec
         T = cfg.detection_threshold
         assert np.array_equal(detect(res, T), detect(oracle, T)), spec
+
+
+def _wide_panel():
+    """A 32 x 5,000 rank-one signal plus noise: swept transposed, in 5 row blocks."""
+    rng = np.random.default_rng(15)
+    return rng.normal(size=(32, 5_000)) + 3 * np.outer(rng.normal(size=32), rng.normal(size=5_000))
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda: [generate(spec).data for spec in benchmark_grid(0) + benchmark_grid(1)],
+    lambda: [_tall_panel()],   # 20 row blocks
+    lambda: [_wide_panel()],
+], ids=["grid", "tall", "wide"])
+def test_solve_matches_copysign_prox_oracle(inputs):
+    # the clip form moves no bit of X or of the trace; E differs only in its zeros' signs
+    for d in inputs():
+        cfg = auto_config(d)
+        with mock.patch("lrsd.solver._shrink", _copysign_shrink):
+            oracle = solve(d, cfg)
+        res = solve(d, cfg)
+        assert res.X_hat.values.tobytes() == oracle.X_hat.values.tobytes()
+        assert np.array(res.objective_trace).tobytes() == np.array(oracle.objective_trace).tobytes()
+        assert res.iterations_used == oracle.iterations_used
+        assert (res.rank_of_X, res.nnz_of_E) == (oracle.rank_of_X, oracle.nnz_of_E)
+        E, E_oracle = res.E_hat.values, oracle.E_hat.values
+        assert np.array_equal(E, E_oracle)
+        assert (np.signbit(E_oracle) & (E_oracle == 0)).any()   # the oracle's -0.0 cells
+        assert not (np.signbit(E) & (E == 0)).any()
 
 
 def test_solve_memory_bounded():

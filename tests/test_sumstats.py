@@ -174,7 +174,7 @@ class TestPToZ:
 
 def _scalar_p_to_z(p):
     """The scalar p-to-z rule, one Python float at a time: the arrays' oracle."""
-    return float(-special.ndtri(max(p, P_CLAMP) / 2.0))
+    return float(0.0 - special.ndtri(max(p, P_CLAMP) / 2.0))   # p = 1 gives +0.0
 
 
 EDGE_P = [1.0, 0.5, P_CLAMP, np.nextafter(P_CLAMP, 1.0), 1e-310, 5e-324]
@@ -188,7 +188,7 @@ def test_p_and_z_conversions_on_arrays_match_scalar_map(ps, shape):
     p = ps.reshape(shape)
     z = p_to_z(p)
     assert z.shape == p.shape
-    assert z.tobytes() == np.array([_scalar_p_to_z(v) for v in ps]).tobytes()   # -0.0 included
+    assert z.tobytes() == np.array([_scalar_p_to_z(v) for v in ps]).tobytes()   # +0.0 at p = 1
     back = z_to_p(z)
     assert back.tobytes() == np.array(
         [float(2.0 * special.ndtr(-abs(v))) for v in z.ravel().tolist()]).tobytes()
@@ -308,7 +308,7 @@ def test_align_matches_per_entry_p_to_z(data):
     kept, z, imputed, n_clamped = _align_reference(studies, k)
     panel = align(studies, k)
     assert panel.snp_ids == tuple(kept)
-    assert panel.z_matrix.values.tobytes() == z.tobytes()   # bit for bit, -0.0 included
+    assert panel.z_matrix.values.tobytes() == z.tobytes()   # bit for bit
     assert np.array_equal(panel.imputed_mask, imputed)
     assert panel.n_clamped == n_clamped
 
@@ -319,7 +319,7 @@ def test_align_clamp_and_p_one_bits():
     z = panel.z_matrix.values[:, 0]
     assert z.tobytes() == np.array([p_to_z(1e-310), p_to_z(1.0), p_to_z(P_CLAMP),
                                     p_to_z(5e-324)]).tobytes()
-    assert np.signbit(z[1])   # -ndtri(0.5) is -0.0, written as "-0.0"
+    assert z[1] == 0.0 and not np.signbit(z[1])   # 0 - ndtri(0.5) is +0.0, written as "0.0"
     assert panel.n_clamped == 2
 
 
