@@ -22,7 +22,7 @@ from .matrix import read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
-from .solver import SolverConfig, _check_threshold, _detect, resolve_params, solve
+from .solver import SolverConfig, _check_param, _detect, resolve_params, solve
 from .sumstats import _check_coverage, align, parse_study, read_manifest, write_panel
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
         if args.threshold is not None:
-            _check_threshold(args.threshold)
+            _check_param("threshold", args.threshold)
     if args.benchmark:
         if args.out:
             with _output(args.out):  # the grid takes minutes: an unwritable --out fails first

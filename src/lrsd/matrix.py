@@ -246,9 +246,10 @@ def read_tsv(path) -> DenseMatrix:
     when any of its other fields is not numeric. Blank
     lines are skipped; error line numbers count them. An entry that is not
     a number, or is NaN, +Inf or -Inf, is refused with a ValueError that
-    names the file and line.
+    names the file and line. The file is read as UTF-8; a leading byte-order
+    mark (BOM) is skipped.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         start, lineno, first = _next_row(fh, 0)
         if first is None:
             raise ValueError(f"{path}: empty matrix file")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import compress
 
@@ -23,9 +24,13 @@ def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
     value, as per-study coordinates.
 
     X_hat is oriented SNPs x studies. Column signs are canonicalized by
-    making the largest-magnitude coordinate of each column positive.
+    making the largest-magnitude coordinate of each column positive. r must
+    be an integer (`numbers.Integral`) in 1..min(n, p) and at most the
+    numerical rank of X_hat; a non-integer r is refused before the SVD.
     """
     x = as_array(X_hat, "X_hat")
+    if not isinstance(r, numbers.Integral):
+        raise ValueError(f"embedding rank must be an integer in 1..{min(x.shape)}, got {r!r}")
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"embedding rank r={r} outside 1..{min(x.shape)}")
     s, Vt = _right_svd(x)
@@ -56,18 +61,19 @@ def single_linkage_groups(embedding: StudyEmbedding, radius: float) -> list[int]
     return [seen.setdefault(c, len(seen)) for c in raw]
 
 
-def _labels(mat: DenseMatrix, axis: int, prefix: str) -> tuple[str, ...]:
-    labels = mat.row_labels if axis == 0 else mat.col_labels
-    if labels is not None:
-        return labels
-    return tuple(f"{prefix}{i}" for i in range(mat.shape[axis]))
+def _labels(labels, n: int, prefix: str) -> tuple[str, ...]:
+    """The labels, or `{prefix}{i}` for i in 0..n-1 when there are none: an
+    unlabelled matrix's rows are row0, row1, ... and its studies col0, col1, ..."""
+    return labels if labels is not None else tuple(f"{prefix}{i}" for i in range(n))
 
 
 def write_embedding_tsv(embedding: StudyEmbedding, path) -> None:
-    r = embedding.coordinates.shape[1]
-    names = embedding.study_names or tuple(
-        f"study{i}" for i in range(embedding.coordinates.shape[0])
-    )
+    """Write one line per study: its name and its coordinates c1..cr.
+
+    Unlabelled studies are named col0, col1, ..., as `write_snp_report` names them.
+    """
+    n, r = embedding.coordinates.shape
+    names = _labels(embedding.study_names, n, "col")
     with open(path, "w") as fh:
         fh.write("\t".join(["study"] + [f"c{j + 1}" for j in range(r)]) + "\n")
         for name, row in zip(names, embedding.coordinates):
@@ -86,8 +92,8 @@ def write_snp_report(result: SolverResult, shared_path, specific_path, T: float)
     """
     X, E = result.X_hat, result.E_hat
     x_calls, e_calls = _calls(X.values, E.values, T)
-    snp_ids = _labels(X, 0, "row")
-    studies = _labels(X, 1, "col")
+    snp_ids = _labels(X.row_labels, X.n_rows, "row")
+    studies = _labels(X.col_labels, X.n_cols, "col")
 
     # the max_magnitude column and the sort key: max |X| per row, with no |X| array
     row_max = np.maximum(X.values.max(axis=1), -X.values.min(axis=1))

@@ -126,15 +126,29 @@ class DegenerateInputError(ValueError):
     """Raised when auto-parameterization is impossible (e.g. constant input)."""
 
 
-def _check_threshold(T) -> None:
-    """Refuse a detection threshold T unless it is a real number, finite and >= 0
-    (NaN, a string and None are refused)."""
-    if not (isinstance(T, numbers.Real) and 0 <= T < math.inf):
-        raise ValueError(f"threshold must be finite and >= 0, got {T!r}")
+def _check_param(name: str, value, positive: bool = False) -> None:
+    """Refuse a solver parameter unless it is a real number, finite and >= 0,
+    or > 0 when `positive` is set; NaN, a string and None are refused.
+
+    The one rule for every scalar parameter: alpha, beta, rel_tolerance, the
+    detection threshold T, svt's lam and soft_threshold's beta. Raises
+    ValueError `{name} must be finite and >= 0, got {value!r}` (or `> 0`).
+    """
+    if not (isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value)
+            and value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Parameters of `solve` and the detection threshold, checked on construction.
+
+    alpha, beta and rel_tolerance must be finite and > 0, detection_threshold
+    finite and >= 0 unless it is "auto" (`_check_param`, under the name
+    `threshold`), and max_iterations an integer >= 1. A bad field raises
+    ValueError naming it, before any solve.
+    """
+
     alpha: float
     beta: float
     max_iterations: int = 500
@@ -142,18 +156,13 @@ class SolverConfig:
     detection_threshold: float | str = "auto"
 
     def __post_init__(self):
-        # `not 0 < v < inf` holds for NaN as well, so NaN is refused with the infinities
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(
-                f"alpha and beta must be finite and > 0, got alpha={self.alpha!r}, "
-                f"beta={self.beta!r}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.rel_tolerance < math.inf:
-            raise ValueError(f"rel_tolerance must be finite and > 0, got {self.rel_tolerance!r}")
+        _check_param("alpha", self.alpha, positive=True)
+        _check_param("beta", self.beta, positive=True)
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        _check_param("rel_tolerance", self.rel_tolerance, positive=True)
         if self.detection_threshold != "auto":
-            _check_threshold(self.detection_threshold)
+            _check_param("threshold", self.detection_threshold)
 
 
 @dataclass(frozen=True)
@@ -263,10 +272,10 @@ def svt(M, lam: float) -> np.ndarray:
     smaller Gram matrix, M^T M or M M^T, that lie above lam^2 (only those
     are computed, see the module docstring); an exact SVD of M is used instead
     when lam is 0 or the largest singular value exceeds GRAM_MAX_RATIO*lam,
-    where squaring M would lose too many digits.
+    where squaring M would lose too many digits. lam must be finite and >= 0
+    (`_check_param`); it is checked before any work.
     """
-    if lam < 0:
-        raise ValueError("svt threshold must be >= 0")
+    _check_param("lam", lam)
     a = as_array(M, "M")
     return _svt(a, lam, np.empty(a.shape))[0]
 
@@ -287,9 +296,9 @@ def _shrink(a: np.ndarray, beta: float, out: np.ndarray) -> float:
 
 def soft_threshold(M, beta: float) -> np.ndarray:
     """Elementwise shrinkage sign(m)*max(|m|-beta, 0), the l1 prox, computed
-    as m - clip(m, -beta, beta): its zeros are +0.0."""
-    if beta < 0:
-        raise ValueError("soft threshold must be >= 0")
+    as m - clip(m, -beta, beta): its zeros are +0.0. beta must be finite and
+    >= 0 (`_check_param`); it is checked before any work."""
+    _check_param("beta", beta)
     a = as_array(M, "M")
     out = np.empty(a.shape)
     _shrink(a, beta, out)
@@ -387,9 +396,14 @@ def resolve_params(
     when estimated), alpha, beta, threshold. Raises DegenerateInputError
     when a value is missing and sigma_hat is not positive (constant input),
     and ValueError when D has a NaN or Inf entry (`as_array`), even when no
-    value is missing.
+    value is missing, or when a given value breaks `_check_param` (alpha and
+    beta finite and > 0, T finite and >= 0); given values are checked before
+    sigma_hat is estimated. Rule values are checked by `SolverConfig`.
     """
     given = dict(alpha=alpha, beta=beta, threshold=threshold)
+    for name, value in given.items():
+        if value is not None:
+            _check_param(name, value, positive=name != "threshold")
     provenance = {}
     if None not in given.values():
         as_array(D, "D")   # nothing to estimate, but D is checked all the same
@@ -690,7 +704,7 @@ def _calls(X: np.ndarray, E: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
     part). `detect`, the SNP report and `lrsd evaluate` all call through it.
     Each mask is built one row block (`_block_rows`) at a time, so that no
     n x p float temporary is made."""
-    _check_threshold(T)
+    _check_param("threshold", T)
     masks = np.empty(X.shape, dtype=bool), np.empty(E.shape, dtype=bool)
     rows = _block_rows(X.shape[1])
     for i in range(0, len(X), rows):
@@ -702,7 +716,7 @@ def _calls(X: np.ndarray, E: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
 def _detect(X: np.ndarray, E: np.ndarray, T) -> np.ndarray:
     """The union of the masks of `_calls`, built one row block (`_block_rows`) at
     a time into one bool mask, so that no n x p temporary is made."""
-    _check_threshold(T)   # also when X has no rows
+    _check_param("threshold", T)   # also when X has no rows
     mask = np.empty(X.shape, dtype=bool)
     rows = _block_rows(X.shape[1])
     for i in range(0, len(X), rows):

@@ -64,10 +64,13 @@ def z_to_p(z):
 
 
 def parse_study(path, study_name: str | None = None) -> StudySummary:
-    """Parse one study TSV with header columns `snp` and `p` (extras ignored)."""
+    """Parse one study TSV with header columns `snp` and `p` (extras ignored).
+
+    The file is read as UTF-8; a leading byte-order mark (BOM) is skipped.
+    """
     path = Path(path)
     name = study_name if study_name is not None else path.stem
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header_line = fh.readline().rstrip("\n")
         if not header_line:
             raise SumstatsParseError(f"{path}: empty file")
@@ -217,10 +220,11 @@ def read_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest of `study_name<TAB>path` lines; paths resolve relative
     to the manifest's directory. A study name may appear only once, also
     when surrounding whitespace is ignored, and neither field may be empty
-    or whitespace only."""
+    or whitespace only. The file is read as UTF-8; a leading byte-order mark
+    (BOM) is skipped."""
     path = Path(path)
     entries, names = [], set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

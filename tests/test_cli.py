@@ -122,9 +122,9 @@ class TestDecompose:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--beta", "nan", "alpha and beta"),
-        ("--alpha", "nan", "alpha and beta"),
-        ("--alpha", "inf", "alpha and beta"),
+        ("--beta", "nan", "beta"),
+        ("--alpha", "nan", "alpha"),
+        ("--alpha", "inf", "alpha"),
         ("--tol", "nan", "rel_tolerance"),
         ("--threshold", "nan", "threshold"),
     ])
@@ -666,8 +666,8 @@ class TestAnalyze:
         _assert_no_child_left()
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--alpha", "nan", "alpha and beta"),
-        ("--beta", "inf", "alpha and beta"),
+        ("--alpha", "nan", "alpha"),
+        ("--beta", "inf", "beta"),
         ("--threshold", "nan", "threshold"),
     ])
     def test_non_finite_parameter_writes_nothing(self, tmp_path, capsys, flag, value, named):

@@ -323,6 +323,20 @@ def test_read_skips_blank_lines_and_counts_them_out(tmp_path):
         read_tsv(p)
 
 
+def test_read_skips_a_leading_byte_order_mark(tmp_path):
+    # a UTF-8 BOM, as editors and spreadsheet exports write one, is not data
+    p = tmp_path / "m.tsv"
+    p.write_bytes(b"\xef\xbb\xbf1\t2\n3\t4\n")
+    m = read_tsv(p)
+    assert (m.row_labels, m.col_labels) == (None, None)
+    assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    p.write_bytes(b"\xef\xbb\xbfid\ta\tb\nr1\t1\t2\nr2\t3\tx\n")
+    with pytest.raises(ValueError, match=r"m.tsv:3: could not convert string to float: 'x'"):
+        read_tsv(p)
+    p.write_bytes(b"\xef\xbb\xbfid\ta\tb\nr1\t1\t2\n")
+    assert read_tsv(p).col_labels == ("a", "b")
+
+
 def test_read_ragged_message(tmp_path):
     p = tmp_path / "m.tsv"
     p.write_text("1\t2\n3\t4\t5\n6\n")   # total field count is still 2 per row

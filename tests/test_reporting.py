@@ -23,6 +23,16 @@ from lrsd.solver import SolverResult, detect
 
 
 class TestEmbedStudies:
+    @pytest.mark.parametrize("r", [1.5, 1.0, "1", None])
+    def test_non_integer_rank_refused_before_the_svd(self, r):
+        X = np.outer(np.arange(1, 6, dtype=float), np.arange(1, 5, dtype=float))
+        fail = dict(side_effect=AssertionError("SVD called"))
+        message = re.escape(f"embedding rank must be an integer in 1..4, got {r!r}")
+        with mock.patch.object(np.linalg, "svd", **fail), \
+                mock.patch.object(np.linalg, "qr", **fail), \
+                pytest.raises(ValueError, match=f"^{message}$"):
+            embed_studies(X, r)
+
     def test_rank_one_is_collinear(self):
         rng = np.random.default_rng(0)
         X = np.outer(rng.normal(size=30), rng.normal(size=6))
@@ -329,3 +339,15 @@ def test_writers(tmp_path):
     lines = (tmp_path / "emb.tsv").read_text().splitlines()
     assert lines[0] == "study\tc1"
     assert len(lines) == 3
+
+
+def test_unlabelled_studies_named_alike_in_both_files(tmp_path):
+    # the embedding and the SNP report name an unlabelled X's studies col0, col1, ...
+    X = np.outer([3.0, 2.0, 1.0], [1.0, 2.0])
+    res = _result(X, np.zeros((3, 2)))
+    shared, _ = _report(res, 0.5, tmp_path)
+    write_embedding_tsv(embed_studies(res.X_hat, 1), tmp_path / "emb.tsv")
+    embedded = [line.split("\t")[0] for line in
+                (tmp_path / "emb.tsv").read_text().splitlines()[1:]]
+    assert embedded == ["col0", "col1"]
+    assert {s for row in shared for s in row[2].split(",")} == set(embedded)

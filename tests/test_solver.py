@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,9 +14,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lapack
 
 from lrsd import solver
-from lrsd.matrix import DenseMatrix
+from lrsd.cli import main
+from lrsd.matrix import DenseMatrix, write_tsv
 from lrsd.metrics import benchmark_grid
-from lrsd.reporting import embed_studies
+from lrsd.reporting import embed_studies, write_snp_report
 from lrsd.simulate import generate
 from lrsd.solver import (
     GRAM_MAX_RATIO,
@@ -389,6 +391,72 @@ def test_finiteness_checked_once(dense):
             call(D)
         passes = sum(np.shares_memory(c.args[0], data) for c in spy.call_args_list)
         assert passes == (0 if dense else 1)
+
+
+# entry point -> (call on the value under test and `d`, the fixtures the test builds, the
+# message its error starts with); the "> 0" rule also refuses 0
+_PARAMS = {
+    **{f"SolverConfig {name}": (lambda v, d, name=name: SolverConfig(**{
+        **dict(alpha=1.0, beta=1.0), name: v}), f"{name} must be finite and > 0")
+       for name in ("alpha", "beta", "rel_tolerance")},
+    "SolverConfig detection_threshold": (
+        lambda v, d: SolverConfig(alpha=1.0, beta=1.0, detection_threshold=v),
+        "threshold must be finite and >= 0"),
+    "SolverConfig max_iterations": (
+        lambda v, d: SolverConfig(alpha=1.0, beta=1.0, max_iterations=v),
+        "max_iterations must be an integer >= 1"),
+    # the other two are missing, so their rules would need estimate_sigma
+    **{f"resolve_params {name}": (lambda v, d, name=name: resolve_params(_OK, **{name: v}),
+                                  f"{name} must be finite and {rule} 0")
+       for name, rule in (("alpha", ">"), ("beta", ">"), ("threshold", ">="))},
+    "svt": (lambda v, d: svt(_OK, v), "lam must be finite and >= 0"),
+    "soft_threshold": (lambda v, d: soft_threshold(_OK, v), "beta must be finite and >= 0"),
+    "detect": (lambda v, d: detect(d["result"], v), "threshold must be finite and >= 0"),
+    "write_snp_report": (lambda v, d: write_snp_report(
+        d["result"], d["dir"] / "shared.tsv", d["dir"] / "specific.tsv", v),
+        "threshold must be finite and >= 0"),
+    "lrsd evaluate --threshold": (lambda v, d: main(
+        ["evaluate", "--x", d["m"], "--e", d["m"], "--truth", d["m"], f"--threshold={v!r}"]),
+        "threshold must be finite and >= 0"),
+}
+_PARAM_CASES = [
+    pytest.param(entry, v, id=f"{entry}-{v!r}")
+    for entry, (_, message) in _PARAMS.items()
+    for v in [math.nan, math.inf, -math.inf, -1.0, "1", None]
+    + [0.0] * message.endswith("> 0") + [0, 2.5] * entry.endswith("max_iterations")
+    # None asks resolve_params for the rule; the CLI flag parses only floats
+    if not (v is None and entry.startswith("resolve_params"))
+    and (isinstance(v, float) or not entry.startswith("lrsd"))
+]
+
+
+@pytest.mark.parametrize("entry, value", _PARAM_CASES)
+def test_bad_parameter_refused_at_the_boundary(tmp_path, capsys, entry, value):
+    # one ValueError from solver._check_param (or the max_iterations rule), before
+    # any LAPACK or np.linalg call and before estimate_sigma
+    call, message = _PARAMS[entry]
+    message = f"{message}, got {value!r}"
+    write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
+    d = dict(result=solve(np.eye(3), _CFG), dir=tmp_path, m=str(tmp_path / "m.tsv"))
+    fail = dict(side_effect=AssertionError("LAPACK, np.linalg or estimate_sigma called"))
+    with mock.patch.object(lapack, "dsyevr", **fail), \
+            mock.patch.object(np.linalg, "svd", **fail), \
+            mock.patch.object(np.linalg, "qr", **fail), \
+            mock.patch.object(solver, "estimate_sigma", **fail):
+        if entry.startswith("lrsd"):
+            assert call(value, d) == 2
+            captured = capsys.readouterr()
+            assert (captured.err, captured.out) == (f"error: {message}\n", "")
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value, d)
+
+
+def test_zero_accepted_where_the_rule_is_at_least_zero():
+    assert np.allclose(svt(_OK, 0.0), _OK)   # the exact SVD gives M back
+    assert np.array_equal(soft_threshold(_OK, 0.0), _OK)
+    assert resolve_params(_OK, 1.0, 1.0, 0.0)[2] == 0.0
+    assert SolverConfig(alpha=1.0, beta=1.0, detection_threshold=0.0).detection_threshold == 0.0
 
 
 def _tall_panel():

@@ -92,6 +92,11 @@ class TestParseStudy:
         path.write_bytes(b"snp\tp\r\nrs1\t0.5\r\nrs2\t1e-8\r\n")
         assert parse_study(path).records == {"rs1": 0.5, "rs2": 1e-8}
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_bytes(b"\xef\xbb\xbfsnp\tp\nrs1\t0.5\nrs2\t1e-8\n")
+        assert parse_study(path).records == {"rs1": 0.5, "rs2": 1e-8}
+
     def test_p_before_snp_with_extra_columns(self, tmp_path):
         path = _write(tmp_path, "a.tsv", ["0.5\t1.2\trs1\tA", "1e-8\t-0.3\trs2\tC"],
                       header="P\tbeta\tSNP\tallele")
@@ -397,6 +402,12 @@ def test_write_panel_and_manifest(tmp_path):
     bad.write_text("just-one-field\n")
     with pytest.raises(SumstatsParseError):
         read_manifest(bad)
+
+
+def test_manifest_skips_a_leading_byte_order_mark(tmp_path):
+    mani = tmp_path / "manifest.tsv"
+    mani.write_bytes(b"\xef\xbb\xbfs1\ta.tsv\ns2\tb.tsv\n")
+    assert [e[0] for e in read_manifest(mani)] == ["s1", "s2"]
 
 
 def test_manifest_refuses_duplicate_study_name(tmp_path):
