@@ -73,6 +73,25 @@ def factor_vectors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(x / np.linalg.norm(x) for x in (u1, v1, u2, v2))
 
 
+def _planted_bases() -> tuple[np.ndarray, np.ndarray]:
+    """The planted signal of patterns 1-2 and of patterns 3-4 before spikes,
+    divisor and shuffle, read-only: every instance starts from one of them."""
+    u1, v1, u2, v2 = factor_vectors()
+    one = BICLUSTER_SCALE * np.outer(u1, v1)
+    two = one + BICLUSTER_SCALE * np.outer(u2, v2)
+    for base in (one, two):
+        base.setflags(write=False)
+    return one, two
+
+
+_ONE_BICLUSTER, _TWO_BICLUSTERS = _planted_bases()
+
+
+def _stream(seed: int, i: int) -> np.random.Generator:
+    """Child i of `SeedSequence(seed).spawn(3)`, built directly from its spawn key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def compute_snr(truth_signal) -> float:
     """Root-mean-square of the signal over its support, divided by NOISE_SIGMA."""
     a = truth_signal.values if isinstance(truth_signal, DenseMatrix) else np.asarray(truth_signal)
@@ -87,23 +106,20 @@ def generate(spec: PatternSpec) -> SimulatedInstance:
 
     The seed is split into independent streams for the sparse draw, the
     shuffle, and the noise, so instances of patterns 1 and 2 (or 3 and 4)
-    with the same seed differ only by the sparse spikes.
+    with the same seed differ only by the sparse spikes. The sparse stream
+    is drawn only for patterns 2 and 4.
     """
-    u1, v1, u2, v2 = factor_vectors()
-    M = BICLUSTER_SCALE * np.outer(u1, v1)
-    if spec.pattern_id >= 3:
-        M = M + BICLUSTER_SCALE * np.outer(u2, v2)
-
-    ss = np.random.SeedSequence(spec.seed)
-    rng_sparse, rng_perm, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
+    M = _TWO_BICLUSTERS if spec.pattern_id >= 3 else _ONE_BICLUSTER
     if spec.pattern_id in (2, 4):
-        spikes = rng_sparse.random((N_ROWS, N_COLS)) < SPARSE_PROB
+        spikes = _stream(spec.seed, 0).random((N_ROWS, N_COLS)) < SPARSE_PROB
         M = M + SPARSE_VALUE * spikes
 
     M = M / spec.signal_divisor
+    rng_perm, rng_noise = _stream(spec.seed, 1), _stream(spec.seed, 2)
     row_perm = rng_perm.permutation(N_ROWS)
     col_perm = rng_perm.permutation(N_COLS)
-    M = M[np.ix_(row_perm, col_perm)]
+    # two takes keep M and its mask C-ordered; M[rows][:, cols] gives F order
+    M = M.take(row_perm, axis=0).take(col_perm, axis=1)
     noise = rng_noise.normal(0.0, NOISE_SIGMA, M.shape)
 
     return SimulatedInstance(

@@ -218,10 +218,13 @@ def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
 
 def read_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest of `study_name<TAB>path` lines; paths resolve relative
-    to the manifest's directory. A study name may appear only once, also
-    when surrounding whitespace is ignored, and neither field may be empty
-    or whitespace only. The file is read as UTF-8; a leading byte-order mark
-    (BOM) is skipped."""
+    to the manifest's directory. A line whose first character is `#` is a
+    comment and is skipped, as is a blank or whitespace-only line, so a
+    study cannot be named `#...`; a `#` after a name's first character is
+    kept. A study name may appear only once, also when surrounding
+    whitespace is ignored, and neither field may be empty or whitespace
+    only. The file is read as UTF-8; a leading byte-order mark (BOM) is
+    skipped."""
     path = Path(path)
     entries, names = [], set()
     with open(path, encoding="utf-8-sig") as fh:

@@ -3,8 +3,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lrsd.matrix import read_tsv
+from lrsd import simulate
+from lrsd.matrix import DenseMatrix, read_tsv
 from lrsd.simulate import PatternSpec, compute_snr, factor_vectors, generate, save_instance
 
 
@@ -133,6 +136,62 @@ class TestGenerate:
     def test_shuffle_invariant_mask_cardinality(self):
         counts = {generate(PatternSpec(3, seed=s)).truth_mask.sum() for s in range(5)}
         assert len(counts) == 1
+
+
+def _generate_reference(spec):
+    """`generate` as first written, with nothing cached: the factor vectors on
+    every call, three generators from `SeedSequence.spawn`, and `np.ix_`."""
+    u1, v1, u2, v2 = factor_vectors()
+    M = simulate.BICLUSTER_SCALE * np.outer(u1, v1)
+    if spec.pattern_id >= 3:
+        M = M + simulate.BICLUSTER_SCALE * np.outer(u2, v2)
+    ss = np.random.SeedSequence(spec.seed)
+    rng_sparse, rng_perm, rng_noise = (np.random.default_rng(s) for s in ss.spawn(3))
+    if spec.pattern_id in (2, 4):
+        spikes = rng_sparse.random((simulate.N_ROWS, simulate.N_COLS)) < simulate.SPARSE_PROB
+        M = M + simulate.SPARSE_VALUE * spikes
+    M = M / spec.signal_divisor
+    row_perm = rng_perm.permutation(simulate.N_ROWS)
+    col_perm = rng_perm.permutation(simulate.N_COLS)
+    M = M[np.ix_(row_perm, col_perm)]
+    noise = rng_noise.normal(0.0, simulate.NOISE_SIGMA, M.shape)
+    return simulate.SimulatedInstance(
+        data=DenseMatrix(M + noise), truth_signal=DenseMatrix(M), truth_mask=M != 0,
+        row_perm=row_perm, col_perm=col_perm, snr=compute_snr(M), spec=spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4),
+       st.one_of(st.sampled_from([1.0, 1.2, 1.5]), st.floats(1.0, 50.0)),
+       st.integers(0, 2**63))
+@example(4, 1.2, 3)
+@example(1, 50.0, 2**63)
+def test_generate_matches_the_uncached_reference_bit_for_bit(pattern, divisor, seed):
+    spec = PatternSpec(pattern, divisor, seed)
+    got, want = generate(spec), _generate_reference(spec)
+    # bytes, so a -0.0 where the reference has 0.0 would fail
+    assert got.data.values.tobytes() == want.data.values.tobytes()
+    assert got.truth_signal.values.tobytes() == want.truth_signal.values.tobytes()
+    assert np.array_equal(got.truth_mask, want.truth_mask)
+    assert np.array_equal(got.row_perm, want.row_perm)
+    assert np.array_equal(got.col_perm, want.col_perm)
+    assert got.snr == want.snr
+    for a in (got.data.values, got.truth_signal.values, got.truth_mask):
+        assert a.flags.c_contiguous
+
+
+def test_writing_into_factor_vectors_leaves_generate_unchanged():
+    spec = PatternSpec(3, 1.2, 5)
+    before = generate(spec).data.values.tobytes()
+    for x in factor_vectors():
+        x[:] = 7.0
+    assert generate(spec).data.values.tobytes() == before
+
+
+@pytest.mark.parametrize("base", ["_ONE_BICLUSTER", "_TWO_BICLUSTERS"])
+def test_cached_bases_are_read_only(base):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(simulate, base)[0, 0] = 1.0
 
 
 def test_save_load_roundtrip(tmp_path):

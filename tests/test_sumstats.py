@@ -410,6 +410,12 @@ def test_manifest_skips_a_leading_byte_order_mark(tmp_path):
     assert [e[0] for e in read_manifest(mani)] == ["s1", "s2"]
 
 
+def test_manifest_skips_hash_lines_and_blank_lines_only(tmp_path):
+    mani = tmp_path / "manifest.tsv"
+    mani.write_text("#a\ta.tsv\n \t \nb\tb.tsv\nc#1\tc.tsv\n")
+    assert [e[0] for e in read_manifest(mani)] == ["b", "c#1"]
+
+
 def test_manifest_refuses_duplicate_study_name(tmp_path):
     mani = tmp_path / "manifest.tsv"
     mani.write_text("s1\ta.tsv\n# a comment\ns2\tb.tsv\ns1\tc.tsv\n")
