@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .matrix import read_tsv, write_tsv
+from .matrix import read_mask, read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_embedding_tsv, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
@@ -155,15 +155,6 @@ def cmd_decompose(args) -> int:
     return code
 
 
-def _read_mask(path):
-    """A matrix TSV of 0/1 entries as a boolean mask; any other entry is refused."""
-    values = read_tsv(path).values
-    bad = values[(values != 0) & (values != 1)]
-    if bad.size:
-        raise ValueError(f"{path}: mask entries must be 0 or 1, got {float(bad[0])!r}")
-    return values == 1
-
-
 def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
@@ -186,9 +177,9 @@ def cmd_evaluate(args) -> int:
     if args.truth is None:
         raise _Refusal("--truth is required unless --benchmark is given")
     with _input():
-        truth = _read_mask(args.truth)
+        truth = read_mask(args.truth)
         if args.mask is not None:
-            pred = _read_mask(args.mask)
+            pred = read_mask(args.mask)
         elif args.x is not None and args.e is not None:
             X = read_tsv(args.x)
             E = read_tsv(args.e)

@@ -38,18 +38,16 @@ class DenseMatrix:
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.row_labels is not None:
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-            if len(self.row_labels) != vals.shape[0]:
-                raise ValueError(
-                    f"{len(self.row_labels)} row labels for {vals.shape[0]} rows"
-                )
-        if self.col_labels is not None:
-            object.__setattr__(self, "col_labels", tuple(self.col_labels))
-            if len(self.col_labels) != vals.shape[1]:
-                raise ValueError(
-                    f"{len(self.col_labels)} column labels for {vals.shape[1]} columns"
-                )
+        for field, kind, count in (("row_labels", "row", vals.shape[0]),
+                                   ("col_labels", "column", vals.shape[1])):
+            labels = getattr(self, field)
+            if labels is None:
+                continue
+            labels = tuple(labels)
+            object.__setattr__(self, field, labels)
+            if len(labels) != count:
+                raise ValueError(f"{len(labels)} {kind} labels for {count} {kind}s")
+            _check_labels(labels, kind)
 
     @property
     def n_rows(self) -> int:
@@ -62,6 +60,15 @@ class DenseMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+
+def _check_labels(labels: tuple, kind: str) -> None:
+    """Refuse a label that holds a tab, newline or carriage return: written
+    as it is, it would split a field or a line of the TSV."""
+    joined = "".join(labels)   # one pass in C; the loop runs only to name the culprit
+    if "\t" in joined or "\n" in joined or "\r" in joined:
+        i = next(i for i, label in enumerate(labels) if any(c in label for c in "\t\n\r"))
+        raise ValueError(f"{kind} label {i} ({labels[i]!r}) holds a tab or line break")
 
 
 def as_array(m, name: str) -> np.ndarray:
@@ -237,31 +244,34 @@ def _numeric(s: str) -> bool:
 
 
 def read_tsv(path) -> DenseMatrix:
-    """Read a TSV matrix, auto-detecting a header row and a label column.
+    """Read a TSV matrix, with the layout rule `write_tsv` writes by.
 
-    Detection rule: a first line whose non-initial fields are not all numeric
-    is a header; a first column that is not numeric holds row labels. The
-    first data row alone decides the column unless its first field reads as
-    NaN or Inf, as a label such as `nan` does: then the column holds labels
-    when any of its other fields is not numeric. Blank
-    lines are skipped; error line numbers count them. An entry that is not
-    a number, or is NaN, +Inf or -Inf, is refused with a ValueError that
-    names the file and line. The file is read as UTF-8; a leading byte-order
-    mark (BOM) is skipped.
+    A first line whose first field is exactly `id` is a header, and the
+    rows then carry labels. Otherwise the first line is a header when a
+    field after its first is not a number, and the rows carry labels when
+    the first data row's first field is not a number. So every file that
+    `write_tsv` or `write_mask` writes with both row and column labels, or
+    with neither, reads back exactly, numeric labels included. Labels on
+    one side only have limits: a header of numbers alone is read as data,
+    and an unlabelled matrix whose first column is named `id`, or a
+    headerless one whose first row label is `id`, is read as labelled.
+
+    Blank lines are skipped; error line numbers count them. An entry that
+    is not a number, or is NaN, +Inf or -Inf, is refused with a ValueError
+    that names the file and line. The file is read as UTF-8; a leading
+    byte-order mark (BOM) is skipped.
     """
     with open(path, encoding="utf-8-sig") as fh:
         start, lineno, first = _next_row(fh, 0)
         if first is None:
             raise ValueError(f"{path}: empty matrix file")
-        header_row = None
-        if not all(_numeric(f) for f in first[1:] or first):
+        header_row, id_header = None, first[0] == "id"
+        if id_header or not all(_numeric(f) for f in first[1:] or first):
             header_row = first
             start, lineno, first = _next_row(fh, lineno)
             if first is None:
                 raise ValueError(f"{path}: header but no data rows")
-        row_labels = not _numeric(first[0])
-        if not row_labels and not np.isfinite(float(first[0])):
-            row_labels = not all(_numeric(line.partition("\t")[0]) for line in fh if line.strip())
+        row_labels = id_header or not _numeric(first[0])
         width = len(first)
         labels, data = _load_rows(fh, start, width, row_labels)
         if data is None:
@@ -279,6 +289,16 @@ def read_tsv(path) -> DenseMatrix:
         row_labels=tuple(labels) if labels else None,
         col_labels=tuple(col_labels) if col_labels else None,
     )
+
+
+def read_mask(path) -> np.ndarray:
+    """A matrix TSV of 0/1 entries, as `write_mask` writes one, as a bool
+    array; any other entry is refused with a ValueError that names the file."""
+    values = read_tsv(path).values
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise ValueError(f"{path}: mask entries must be 0 or 1, got {float(bad[0])!r}")
+    return values == 1
 
 
 def _next_row(fh, lineno):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,18 +28,17 @@ def score(predicted: np.ndarray, truth: np.ndarray) -> DetectionReport:
     true = np.asarray(truth, dtype=bool)
     if pred.shape != true.shape:
         raise ValueError(f"mask shapes differ: {pred.shape} vs {true.shape}")
-    tp = int((pred & true).sum())
-    fp = int((pred & ~true).sum())
-    fn = int((~pred & true).sum())
-    tn = int((~pred & ~true).sum())
+    tp, n_pred, n_true = (int(np.count_nonzero(a)) for a in (pred & true, pred, true))
+    fp, fn = n_pred - tp, n_true - tp
+    tn = pred.size - n_pred - fn
 
     degenerate = False
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
+    if n_pred > 0:
+        precision = tp / n_pred
     else:
         precision, degenerate = 0.0, True
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
+    if n_true > 0:
+        recall = tp / n_true
     else:
         recall, degenerate = 0.0, True
     if precision + recall > 0:
@@ -91,43 +90,22 @@ def benchmark(patterns: list[PatternSpec], n_seeds: int) -> list[BenchmarkRow]:
     rows = []
     for spec in patterns:
         reports, snrs = run_cell(spec, n_seeds)
-        ps = np.array([r.precision for r in reports])
-        rs = np.array([r.recall for r in reports])
-        fs = np.array([r.f1 for r in reports])
-        rows.append(
-            BenchmarkRow(
-                pattern_id=spec.pattern_id,
-                divisor=spec.signal_divisor,
-                snr_mean=float(np.mean(snrs)),
-                precision_mean=float(ps.mean()),
-                precision_std=float(ps.std(ddof=1)) if len(ps) > 1 else 0.0,
-                recall_mean=float(rs.mean()),
-                recall_std=float(rs.std(ddof=1)) if len(rs) > 1 else 0.0,
-                f1_mean=float(fs.mean()),
-                f1_std=float(fs.std(ddof=1)) if len(fs) > 1 else 0.0,
-                n_seeds=n_seeds,
-            )
-        )
+        stats = {}
+        for name in ("precision", "recall", "f1"):
+            xs = np.array([getattr(r, name) for r in reports])
+            stats[f"{name}_mean"] = float(xs.mean())
+            stats[f"{name}_std"] = float(xs.std(ddof=1)) if len(xs) > 1 else 0.0
+        rows.append(BenchmarkRow(pattern_id=spec.pattern_id, divisor=spec.signal_divisor,
+                                 snr_mean=float(np.mean(snrs)), **stats, n_seeds=n_seeds))
     return rows
 
 
-BENCH_COLUMNS = (
-    "pattern",
-    "divisor",
-    "snr_mean",
-    "precision_mean",
-    "precision_std",
-    "recall_mean",
-    "recall_std",
-    "f1_mean",
-    "f1_std",
-)
-
-
 def write_benchmark_tsv(rows: list[BenchmarkRow], path) -> None:
+    """One line per row: pattern, divisor, then every `_mean` and `_std`
+    field of `BenchmarkRow` in its order, to four decimals."""
+    stats = [f.name for f in fields(BenchmarkRow) if f.name.endswith(("_mean", "_std"))]
     with open(path, "w") as fh:
-        fh.write("\t".join(BENCH_COLUMNS) + "\n")
+        fh.write("\t".join(["pattern", "divisor", *stats]) + "\n")
         for r in rows:
-            # every column after pattern and divisor is the BenchmarkRow field of that name
-            stats = [f"{getattr(r, c):.4f}" for c in BENCH_COLUMNS[2:]]
-            fh.write("\t".join([str(r.pattern_id), f"{r.divisor:g}", *stats]) + "\n")
+            values = [f"{getattr(r, name):.4f}" for name in stats]
+            fh.write("\t".join([str(r.pattern_id), f"{r.divisor:g}", *values]) + "\n")

@@ -480,6 +480,32 @@ class TestPipelineComposition:
         assert f1_cli == pytest.approx(rep.f1, abs=5e-5)
 
 
+    def test_numeric_labels_read_back(self, tmp_path, capsys):
+        """Study names and SNP ids that spell numbers: decompose and evaluate
+        read analyze's outputs with their labels, not as a row or column of data."""
+        (tmp_path / "a.tsv").write_text("snp\tp\n100\t0.5\n200\t1e-6\n300\t0.2\n")
+        (tmp_path / "b.tsv").write_text("snp\tp\n100\t0.9\n200\t1e-7\n")
+        (tmp_path / "studies.txt").write_text("1\ta.tsv\n2\tb.tsv\n")
+        an, dec = tmp_path / "an", tmp_path / "dec"
+        assert main(["analyze", "--manifest", str(tmp_path / "studies.txt"),
+                     "--min-coverage", "1", "--out", str(an)]) == 0
+        assert main(["decompose", "--input", str(an / "z.tsv"), "--out", str(dec)]) == 0
+        z, X = read_tsv(an / "z.tsv"), read_tsv(dec / "X.tsv")
+        assert (z.row_labels, z.col_labels) == (("100", "200", "300"), ("1", "2"))
+        assert (X.row_labels, X.col_labels) == (z.row_labels, z.col_labels)
+
+        def layout(path):   # the header and the row labels
+            lines = path.read_text().splitlines()
+            return lines[0], [line.split("\t")[0] for line in lines[1:]]
+
+        assert layout(dec / "X.tsv") == layout(an / "z.tsv")
+        capsys.readouterr()
+        rc = main(["evaluate", "--x", str(dec / "X.tsv"), "--e", str(dec / "E.tsv"),
+                   "--truth", str(an / "imputed_mask.tsv"), "--threshold", "1"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+
 def _toy_manifest(tmp_path):
     rows = {
         "s1": ["rs1\t0.5", "rs2\t1e-6", "rs3\t0.2"],

@@ -28,6 +28,19 @@ def test_rejects_label_mismatch():
         DenseMatrix(np.zeros((2, 3)), col_labels=("a", "b"))
 
 
+@pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "\t"])
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_rejects_label_that_breaks_the_file(label, kind):
+    # written as they are, such labels read back as another shape
+    labels = ("ok", label, "c")
+    with pytest.raises(ValueError) as err:
+        if kind == "row":
+            DenseMatrix(np.zeros((3, 2)), row_labels=labels)
+        else:
+            DenseMatrix(np.zeros((2, 3)), col_labels=labels)
+    assert str(err.value) == f"{kind} label 1 ({label!r}) holds a tab or line break"
+
+
 def test_values_are_immutable():
     m = DenseMatrix(np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -124,6 +137,16 @@ def test_read_non_finite_first_field_unlabelled(tmp_path, text, spelling):
     assert str(err.value) == f"{p}:2: matrix entries must be finite, got {spelling!r}"
 
 
+def test_read_non_finite_first_label_without_id_header(tmp_path):
+    # only an `id` header marks labelled rows; without one, the first row's
+    # first field decides, and `nan` is a number
+    p = tmp_path / "m.tsv"
+    p.write_text("snp\ta\tb\nnan\t1\t2\nrs2\t3\t4\n")
+    with pytest.raises(ValueError) as err:
+        read_tsv(p)
+    assert str(err.value) == f"{p}:2: matrix entries must be finite, got 'nan'"
+
+
 def test_read_empty_errors(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("")
@@ -169,6 +192,38 @@ def test_tsv_roundtrip_exact(tmp_path_factory, m):
     assert back.values.tobytes() == m.values.tobytes()   # bit for bit, -0.0 included
     assert back.row_labels == m.row_labels
     assert back.col_labels == m.col_labels
+
+
+LABEL_SPELLINGS = ["1", "-0", "1e5", "nan", "Infinity", "1_000", "", " ", "id", "#x"]
+# any text a label may hold (a lone surrogate has no UTF-8 form), and spellings that read as numbers
+labels = st.one_of(
+    st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\t\n\r")),
+    st.sampled_from(LABEL_SPELLINGS),
+)
+
+
+@st.composite
+def labelled_or_not(draw):
+    """A matrix with both row and column labels, which may spell numbers,
+    `id` or nothing at all, or with neither."""
+    values = draw(arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=finite))
+    if not draw(st.booleans()):
+        return DenseMatrix(values)
+    n, p = values.shape
+    return DenseMatrix(values, row_labels=draw(st.lists(labels, min_size=n, max_size=n)),
+                       col_labels=draw(st.lists(labels, min_size=p, max_size=p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_or_not())
+@example(DenseMatrix(np.ones((3, 2)), row_labels=("100", "200", "300"), col_labels=("1", "2")))
+@example(DenseMatrix(np.ones((2, 2)), row_labels=("nan", "rs2"), col_labels=("a", "b")))
+def test_tsv_roundtrip_any_labels(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("rl") / "m.tsv"
+    write_tsv(m, path)
+    back = read_tsv(path)
+    assert back.values.tobytes() == m.values.tobytes()
+    assert (back.row_labels, back.col_labels) == (m.row_labels, m.col_labels)
 
 
 @settings(max_examples=200, deadline=None)

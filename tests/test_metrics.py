@@ -4,8 +4,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lrsd.metrics import benchmark, run_cell, score, write_benchmark_tsv
+from lrsd.metrics import (BenchmarkRow, DetectionReport, benchmark, benchmark_grid, run_cell,
+                          score, write_benchmark_tsv)
 from lrsd.simulate import PatternSpec
+
+
+def _score_reference(predicted, truth) -> DetectionReport:
+    """The scorer that counted each confusion cell from its own mask."""
+    pred = np.asarray(predicted, dtype=bool)
+    true = np.asarray(truth, dtype=bool)
+    tp = int((pred & true).sum())
+    fp = int((pred & ~true).sum())
+    fn = int((~pred & true).sum())
+    tn = int((~pred & ~true).sum())
+    degenerate = False
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
+    else:
+        precision, degenerate = 0.0, True
+    if tp + fn > 0:
+        recall = tp / (tp + fn)
+    else:
+        recall, degenerate = 0.0, True
+    if precision + recall > 0:
+        f1 = 2 * precision * recall / (precision + recall)
+    else:
+        f1, degenerate = 0.0, True
+    return DetectionReport(tp, fp, fn, tn, precision, recall, f1, degenerate)
+
+
+def _benchmark_reference(patterns, n_seeds):
+    """The benchmark that spelled out each score's mean and std."""
+    rows = []
+    for spec in patterns:
+        reports, snrs = run_cell(spec, n_seeds)
+        ps = np.array([r.precision for r in reports])
+        rs = np.array([r.recall for r in reports])
+        fs = np.array([r.f1 for r in reports])
+        rows.append(
+            BenchmarkRow(
+                pattern_id=spec.pattern_id,
+                divisor=spec.signal_divisor,
+                snr_mean=float(np.mean(snrs)),
+                precision_mean=float(ps.mean()),
+                precision_std=float(ps.std(ddof=1)) if len(ps) > 1 else 0.0,
+                recall_mean=float(rs.mean()),
+                recall_std=float(rs.std(ddof=1)) if len(rs) > 1 else 0.0,
+                f1_mean=float(fs.mean()),
+                f1_std=float(fs.std(ddof=1)) if len(fs) > 1 else 0.0,
+                n_seeds=n_seeds,
+            )
+        )
+    return rows
+
+
+REFERENCE_COLUMNS = ("pattern", "divisor", "snr_mean", "precision_mean", "precision_std",
+                     "recall_mean", "recall_std", "f1_mean", "f1_std")
+
+
+def _write_benchmark_tsv_reference(rows, path) -> None:
+    """The writer that took its columns from a tuple restating the row's fields."""
+    with open(path, "w") as fh:
+        fh.write("\t".join(REFERENCE_COLUMNS) + "\n")
+        for r in rows:
+            stats = [f"{getattr(r, c):.4f}" for c in REFERENCE_COLUMNS[2:]]
+            fh.write("\t".join([str(r.pattern_id), f"{r.divisor:g}", *stats]) + "\n")
 
 
 class TestScore:
@@ -69,6 +132,21 @@ class TestScore:
             assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
 
 
+@st.composite
+def mask_pairs(draw):
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    return draw(hnp.arrays(bool, shape)), draw(hnp.arrays(bool, shape))
+
+
+@settings(max_examples=300)
+@given(mask_pairs())
+def test_score_matches_reference(pair):
+    pred, truth = pair
+    rep = score(pred, truth)
+    assert rep == _score_reference(pred, truth)
+    assert all(type(n) is int for n in (rep.tp, rep.fp, rep.fn, rep.tn))
+
+
 class TestBenchmark:
     def test_zero_seeds_errors(self):
         with pytest.raises(ValueError):
@@ -85,3 +163,11 @@ class TestBenchmark:
         lines = (tmp_path / "bench.tsv").read_text().splitlines()
         assert lines[0].startswith("pattern\tdivisor")
         assert len(lines) == 3
+
+    def test_benchmark_tsv_matches_reference_bytes(self, tmp_path):
+        grid = benchmark_grid(0)[:3]
+        rows = benchmark(grid, 2)
+        assert rows == _benchmark_reference(grid, 2)
+        write_benchmark_tsv(rows, tmp_path / "new.tsv")
+        _write_benchmark_tsv_reference(_benchmark_reference(grid, 2), tmp_path / "ref.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
