@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .matrix import DenseMatrix, read_tsv, write_tsv
 from .metrics import BenchmarkRow, DetectionReport, benchmark, score
-from .reporting import StudyEmbedding, embed_studies
+from .reporting import embed_studies
 from .simulate import PatternSpec, SimulatedInstance, compute_snr, factor_vectors, generate
 from .solver import (
     SolverConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "SimulatedInstance",
     "SolverConfig",
     "SolverResult",
-    "StudyEmbedding",
     "StudySummary",
     "align",
     "auto_config",

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .matrix import read_mask, read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
-from .reporting import embed_studies, write_embedding_tsv, write_snp_report
+from .reporting import embed_studies, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
 from .solver import SolverConfig, _check_param, _detect, resolve_params, solve
 from .sumstats import _check_coverage, align, parse_study, read_manifest, write_panel
@@ -86,7 +86,7 @@ class _Stages:
             **{f"time_{stage}_s": f"{s:.3f}" for stage, s in self.seconds.items()},
             duration_s=self.duration_s,
         )
-        with _output(out), open(out / "manifest.txt", "w") as fh:
+        with _output(out), open(out / "manifest.txt", "w", encoding="utf-8") as fh:
             fh.writelines(f"{key}={value}\n" for key, value in entries.items())
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -136,7 +136,7 @@ def cmd_decompose(args) -> int:
     with _output(out):  # an unwritable --out fails before the solve, not after it
         out.mkdir(parents=True, exist_ok=True)
     result = _solve_and_write(D, config, out, stages)
-    with _output(out), open(out / "trace.tsv", "w") as fh:
+    with _output(out), open(out / "trace.tsv", "w", encoding="utf-8") as fh:
         fh.write("iteration\tobjective\n")
         for i, f in enumerate(result.objective_trace):
             fh.write(f"{i}\t{f!r}\n")
@@ -163,7 +163,7 @@ def cmd_evaluate(args) -> int:
     if args.benchmark:
         if args.out:
             with _output(args.out):  # the grid takes minutes: an unwritable --out fails first
-                open(args.out, "w").close()
+                open(args.out, "w", encoding="utf-8").close()
         rows = benchmark(grid, args.seeds)
         if args.out:
             write_benchmark_tsv(rows, args.out)
@@ -202,7 +202,7 @@ def cmd_evaluate(args) -> int:
             raise _Refusal("give either --mask or both --x and --e")
         report = score(pred, truth)
     if args.out:  # written only once the inputs are read and scored
-        with _output(args.out), open(args.out, "w") as fh:
+        with _output(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write("tp\tfp\tfn\ttn\tprecision\trecall\tf1\tdegenerate\n")
             fh.write(
                 f"{report.tp}\t{report.fp}\t{report.fn}\t{report.tn}\t"
@@ -245,7 +245,7 @@ def cmd_analyze(args) -> int:
     r = min(args.embed_rank, result.rank_of_X)
     with _output(out):
         if r >= 1:
-            write_embedding_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
+            write_tsv(embed_studies(result.X_hat, r), out / "embedding.tsv")
         else:
             print("note: recovered low-rank component is zero; no embedding written")
         n_shared, n_specific = write_snp_report(

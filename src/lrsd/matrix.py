@@ -139,7 +139,7 @@ def _write_shares(path, head: str, n: int, render) -> None:
     w = _writers(n)
     bounds = [n * i // w for i in range(w + 1)]
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(head)
             parts, pids = [], []
             try:
@@ -218,7 +218,7 @@ def _fork_writer(render, lo: int, hi: int, part) -> int:
         return pid
     code = errno.EIO
     try:
-        with open(part.fileno(), "w", closefd=False) as out:
+        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as out:
             _render_blocks(render, lo, hi, out)
         code = 0
     except OSError as exc:

@@ -104,7 +104,7 @@ def write_benchmark_tsv(rows: list[BenchmarkRow], path) -> None:
     """One line per row: pattern, divisor, then every `_mean` and `_std`
     field of `BenchmarkRow` in its order, to four decimals."""
     stats = [f.name for f in fields(BenchmarkRow) if f.name.endswith(("_mean", "_std"))]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(["pattern", "divisor", *stats]) + "\n")
         for r in rows:
             values = [f"{getattr(r, name):.4f}" for name in stats]

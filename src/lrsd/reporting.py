@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -12,21 +11,17 @@ from .matrix import DenseMatrix, _write_shares, as_array
 from .solver import SolverResult, _calls, _right_svd, numerical_rank
 
 
-@dataclass(frozen=True)
-class StudyEmbedding:
-    study_names: tuple[str, ...] | None
-    coordinates: np.ndarray      # (n_studies, r), columns scaled by singular value
-    singular_values: np.ndarray  # leading r singular values of X_hat
-
-
-def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
+def embed_studies(X_hat, r: int = 3) -> DenseMatrix:
     """Leading r study-side singular directions of X_hat, scaled by singular
-    value, as per-study coordinates.
+    value, as a studies x r `DenseMatrix` of per-study coordinates.
 
-    X_hat is oriented SNPs x studies. Column signs are canonicalized by
-    making the largest-magnitude coordinate of each column positive. r must
-    be an integer (`numbers.Integral`) in 1..min(n, p) and at most the
-    numerical rank of X_hat; a non-integer r is refused before the SVD.
+    X_hat is oriented SNPs x studies. The rows are labelled with the study
+    names, or col0, col1, ... when X_hat has none (as `write_snp_report`
+    names them), and the columns c1..cr; column j's norm is the j-th
+    singular value. Column signs are canonicalized by making the
+    largest-magnitude coordinate of each column positive. r must be an
+    integer (`numbers.Integral`) in 1..min(n, p) and at most the numerical
+    rank of X_hat; a non-integer r is refused before the SVD.
     """
     x = as_array(X_hat, "X_hat")
     if not isinstance(r, numbers.Integral):
@@ -43,17 +38,20 @@ def embed_studies(X_hat, r: int = 3) -> StudyEmbedding:
         if col[np.argmax(np.abs(col))] < 0:
             coords[:, j] = -col
     names = X_hat.col_labels if isinstance(X_hat, DenseMatrix) else None
-    return StudyEmbedding(study_names=names, coordinates=coords, singular_values=s[:r].copy())
+    return DenseMatrix(coords, _labels(names, x.shape[1], "col"),
+                       tuple(f"c{j + 1}" for j in range(r)))
 
 
-def single_linkage_groups(embedding: StudyEmbedding, radius: float) -> list[int]:
+def single_linkage_groups(embedding, radius: float) -> list[int]:
     """Group studies whose embedding points chain within `radius`.
 
-    Returns one group label per study (labels are ordinal by first member).
+    `embedding` is one point per row: a `DenseMatrix` such as `embed_studies`
+    returns, or a plain array. Returns one group label per study (labels are
+    ordinal by first member).
     """
     from scipy.cluster.hierarchy import fcluster, linkage
 
-    pts = embedding.coordinates
+    pts = as_array(embedding, "embedding")
     if pts.shape[0] == 1:
         return [0]
     raw = fcluster(linkage(pts, method="single"), t=radius, criterion="distance")
@@ -65,19 +63,6 @@ def _labels(labels, n: int, prefix: str) -> tuple[str, ...]:
     """The labels, or `{prefix}{i}` for i in 0..n-1 when there are none: an
     unlabelled matrix's rows are row0, row1, ... and its studies col0, col1, ..."""
     return labels if labels is not None else tuple(f"{prefix}{i}" for i in range(n))
-
-
-def write_embedding_tsv(embedding: StudyEmbedding, path) -> None:
-    """Write one line per study: its name and its coordinates c1..cr.
-
-    Unlabelled studies are named col0, col1, ..., as `write_snp_report` names them.
-    """
-    n, r = embedding.coordinates.shape
-    names = _labels(embedding.study_names, n, "col")
-    with open(path, "w") as fh:
-        fh.write("\t".join(["study"] + [f"c{j + 1}" for j in range(r)]) + "\n")
-        for name, row in zip(names, embedding.coordinates):
-            fh.write("\t".join([name] + [repr(float(x)) for x in row]) + "\n")
 
 
 def write_snp_report(result: SolverResult, shared_path, specific_path, T: float) -> tuple[int, int]:

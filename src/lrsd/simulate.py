@@ -152,6 +152,6 @@ def save_instance(inst: SimulatedInstance, outdir) -> None:
         "row_perm": ",".join(map(str, inst.row_perm)),
         "col_perm": ",".join(map(str, inst.col_perm)),
     }
-    with open(out / "meta.txt", "w") as fh:
+    with open(out / "meta.txt", "w", encoding="utf-8") as fh:
         for key, value in meta.items():
             fh.write(f"{key}={value}\n")

@@ -4,6 +4,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from lrsd import __version__, cli, matrix, reporting
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, read_tsv, write_tsv
 from lrsd.metrics import score
-from lrsd.reporting import write_snp_report
+from lrsd.reporting import embed_studies, write_snp_report
 from lrsd.simulate import PatternSpec, generate
 from lrsd.solver import SolverConfig, auto_config, detect, solve
 
@@ -499,6 +501,9 @@ class TestPipelineComposition:
             return lines[0], [line.split("\t")[0] for line in lines[1:]]
 
         assert layout(dec / "X.tsv") == layout(an / "z.tsv")
+        emb = read_tsv(an / "embedding.tsv")
+        assert (emb.row_labels, emb.col_labels) == (("1", "2"), ("c1",))
+        assert np.array_equal(emb.values, embed_studies(read_tsv(an / "X.tsv"), 1).values)
         capsys.readouterr()
         rc = main(["evaluate", "--x", str(dec / "X.tsv"), "--e", str(dec / "E.tsv"),
                    "--truth", str(an / "imputed_mask.tsv"), "--threshold", "1"])
@@ -559,7 +564,7 @@ GOLDEN_SHA256 = {
     "imputed_mask.tsv": "84a7ba4377fa1aac008368532de73eabd15d5e080719a08e77e6dfe9c02a2767",
     "X.tsv": "15eb23f5e2d8a68e8503d48d9482bfed7c7cf4a3bf52f1773ddc54e36cc95c8f",
     "E.tsv": "78d3b7317a5122d8e31446c46c6d9532465da42cbc127be8307d150cc5d4d10c",
-    "embedding.tsv": "79875161885995abedb1807d023ea24f3ff99842d75cabbad21baeac4f2fb718",
+    "embedding.tsv": "4befcbe9e7cb3ca8a1ed91fc1c97e3961745f3cb927d223733d5d446cded2fbf",
     "shared.tsv": "a1c7698dbff333d380003bf72159ace27464a3e5ae466c4a85ac794c1f34be54",
     "specific.tsv": "4248ce56fc4b04d1c7457f84edd0881cd029b547d3c25618845059bdf3f19cb7",
 }
@@ -620,8 +625,8 @@ class TestAnalyze:
         _force_writers(monkeypatch)
         monkeypatch.setattr(os, "fork", counted_fork)
         self._check_golden(tmp_path, capsys)
-        # z, mask, X, E, shared and specific, three forked shares each
-        assert len(forks) == 6 * 3
+        # z, mask, X, E, embedding, shared and specific, three forked shares each
+        assert len(forks) == 7 * 3
         _assert_no_child_left()
 
     def test_writer_failure_names_the_file(self, tmp_path, capsys, monkeypatch):
@@ -690,6 +695,38 @@ class TestAnalyze:
         assert sorted(os.listdir(out)) == sorted(
             ["z.tsv", "imputed_mask.tsv", "X.tsv", "E.tsv", "embedding.tsv", "shared.tsv"])
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["one writer", "forced writers"])
+    def test_non_utf8_locale_writes_utf8(self, tmp_path, forced):
+        """Under the C locale with UTF-8 mode and locale coercion off, Python's
+        default text encoding is ASCII; analyze still writes a non-ASCII study
+        name and SNP ids as UTF-8, in its first share and in forked ones."""
+        ids = [f"rs\u00fc{i}" for i in range(12)]
+        for name, p_values in (("a", [1e-20] * 4 + [0.5] * 8), ("b", [1e-15] * 4 + [0.3] * 8)):
+            body = "".join(f"{snp}\t{p}\n" for snp, p in zip(ids, p_values))
+            (tmp_path / f"{name}.tsv").write_text("snp\tp\n" + body, encoding="utf-8")
+        (tmp_path / "studies.txt").write_text("\u00e9\ta.tsv\ns2\tb.tsv\n", encoding="utf-8")
+        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        encoding = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            capture_output=True, text=True, check=True, env=env, timeout=60).stdout.strip()
+        assert encoding.lower().replace("-", "") != "utf8"
+        # as _force_writers does: four writers, so forked shares write non-ASCII rows
+        command = ["-c", "import sys; from lrsd import matrix, cli; matrix._WRITE_BLOCK = 16; "
+                   "matrix._writers = lambda n_rows: 4; sys.exit(cli.main(sys.argv[1:]))"]
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, *(command if forced else ["-m", "lrsd.cli"]), "analyze",
+             "--manifest", str(tmp_path / "studies.txt"), "--min-coverage", "1",
+             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
+        z = (out / "z.tsv").read_bytes().decode("utf-8").splitlines()
+        assert z[0] == "id\t\u00e9\ts2"
+        assert [line.split("\t")[0] for line in z[1:]] == sorted(ids)
+        embedding = (out / "embedding.tsv").read_bytes().decode("utf-8").splitlines()
+        assert [line.split("\t")[0] for line in embedding[1:]] == ["\u00e9", "s2"]
+        (out / "manifest.txt").read_bytes().decode("utf-8")
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--alpha", "nan", "alpha"),
