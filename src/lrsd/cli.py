@@ -86,7 +86,9 @@ class _Stages:
             **{f"time_{stage}_s": f"{s:.3f}" for stage, s in self.seconds.items()},
             duration_s=self.duration_s,
         )
-        with _output(out), open(out / "manifest.txt", "w", encoding="utf-8") as fh:
+        # a path argument that did not decode (surrogate escapes) is written as its own bytes
+        with _output(out), open(out / "manifest.txt", "w", encoding="utf-8",
+                                errors="surrogateescape") as fh:
             fh.writelines(f"{key}={value}\n" for key, value in entries.items())
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
@@ -155,6 +157,13 @@ def cmd_decompose(args) -> int:
     return code
 
 
+def _same_shape(path_a, a, path_b, b) -> None:
+    """Refuse two inputs of different shapes, naming both files."""
+    if a.shape != b.shape:
+        raise ValueError(f"{path_a} is {a.shape[0]} x {a.shape[1]} but {path_b} "
+                         f"is {b.shape[0]} x {b.shape[1]}")
+
+
 def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
@@ -179,13 +188,10 @@ def cmd_evaluate(args) -> int:
     with _input():
         truth = read_mask(args.truth)
         if args.mask is not None:
-            pred = read_mask(args.mask)
+            pred_path, pred = args.mask, read_mask(args.mask)
         elif args.x is not None and args.e is not None:
-            X = read_tsv(args.x)
-            E = read_tsv(args.e)
-            if X.shape != E.shape:
-                raise ValueError(f"{args.x} is {X.shape[0]} x {X.shape[1]} but {args.e} "
-                                 f"is {E.shape[0]} x {E.shape[1]}")
+            pred_path, X, E = args.x, read_tsv(args.x), read_tsv(args.e)
+            _same_shape(args.x, X, args.e, E)
             T = args.threshold
             if T is None:
                 if args.input is None:
@@ -193,13 +199,12 @@ def cmd_evaluate(args) -> int:
                                    "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
                 D = read_tsv(args.input)
-                if D.shape != X.shape:
-                    raise ValueError(f"{args.input} is {D.shape[0]} x {D.shape[1]} but {args.x} "
-                                     f"is {X.shape[0]} x {X.shape[1]}")
+                _same_shape(args.input, D, args.x, X)
                 T = resolve_params(D)[2]
             pred = _detect(X.values, E.values, T)
         else:
             raise _Refusal("give either --mask or both --x and --e")
+        _same_shape(pred_path, pred, args.truth, truth)
         report = score(pred, truth)
     if args.out:  # written only once the inputs are read and scored
         with _output(args.out), open(args.out, "w", encoding="utf-8") as fh:

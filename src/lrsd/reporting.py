@@ -42,23 +42,6 @@ def embed_studies(X_hat, r: int = 3) -> DenseMatrix:
                        tuple(f"c{j + 1}" for j in range(r)))
 
 
-def single_linkage_groups(embedding, radius: float) -> list[int]:
-    """Group studies whose embedding points chain within `radius`.
-
-    `embedding` is one point per row: a `DenseMatrix` such as `embed_studies`
-    returns, or a plain array. Returns one group label per study (labels are
-    ordinal by first member).
-    """
-    from scipy.cluster.hierarchy import fcluster, linkage
-
-    pts = as_array(embedding, "embedding")
-    if pts.shape[0] == 1:
-        return [0]
-    raw = fcluster(linkage(pts, method="single"), t=radius, criterion="distance")
-    seen: dict[int, int] = {}
-    return [seen.setdefault(c, len(seen)) for c in raw]
-
-
 def _labels(labels, n: int, prefix: str) -> tuple[str, ...]:
     """The labels, or `{prefix}{i}` for i in 0..n-1 when there are none: an
     unlabelled matrix's rows are row0, row1, ... and its studies col0, col1, ..."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +54,6 @@ def p_to_z(p):
     if bad.any():
         raise ValueError(f"p-value must be in (0, 1], got {float(p[bad].flat[0])}")
     return 0.0 - special.ndtri(np.maximum(p, P_CLAMP) / 2.0)   # p = 1 gives +0.0, not -0.0
-
-
-def z_to_p(z):
-    """Inverse of p_to_z: two-sided p-value 2*Phi(-|z|) of each z, elementwise."""
-    from scipy import special
-
-    return 2.0 * special.ndtr(-np.abs(z))
 
 
 def parse_study(path, study_name: str | None = None) -> StudySummary:
@@ -204,16 +197,6 @@ def align(studies: list[StudySummary], k: int) -> AlignedPanel:
         imputed_mask=imputed,
         n_clamped=n_clamped,
     )
-
-
-def panel_to_studies(panel: AlignedPanel) -> list[StudySummary]:
-    """Re-export a panel as per-study records, dropping imputed entries."""
-    out = []
-    for j, name in enumerate(panel.study_names):
-        kept = ~panel.imputed_mask[:, j]
-        p = z_to_p(panel.z_matrix.values[kept, j])
-        out.append(StudySummary(name, dict(zip(compress(panel.snp_ids, kept), p.tolist()))))
-    return out
 
 
 def read_manifest(path) -> list[tuple[str, Path]]:

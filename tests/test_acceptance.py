@@ -12,7 +12,7 @@ import pytest
 
 from lrsd.matrix import DenseMatrix
 from lrsd.metrics import benchmark, benchmark_grid
-from lrsd.reporting import embed_studies, single_linkage_groups
+from lrsd.reporting import embed_studies
 from lrsd.simulate import PatternSpec, generate
 from lrsd.solver import (
     SolverConfig,
@@ -25,7 +25,8 @@ from lrsd.solver import (
     solve,
     svt,
 )
-from lrsd.sumstats import StudySummary, align, panel_to_studies
+from lrsd.sumstats import StudySummary, align
+from reference import panel_to_studies, single_linkage_groups
 
 N_SEEDS = 20
 

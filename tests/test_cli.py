@@ -282,11 +282,14 @@ class TestEvaluate:
         assert (tmp_path / "rep.tsv").read_text().splitlines()[1].endswith("\t0")
 
     def test_shape_mismatch(self, tmp_path, capsys):
-        write_tsv(DenseMatrix(np.eye(3)), tmp_path / "a.tsv")
-        write_tsv(DenseMatrix(np.eye(4)), tmp_path / "b.tsv")
-        rc = main(["evaluate", "--mask", str(tmp_path / "a.tsv"),
-                   "--truth", str(tmp_path / "b.tsv")])
+        a, b, out = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "rep.tsv"
+        write_tsv(DenseMatrix(np.eye(3)), a)
+        write_tsv(DenseMatrix(np.eye(4)), b)
+        rc = main(["evaluate", "--mask", str(a), "--truth", str(b), "--out", str(out)])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {a} is 3 x 3 but {b} is 4 x 4\n", "")
+        assert not out.exists()
 
     def test_x_and_e_shape_mismatch(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -300,6 +303,19 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {x} is 100 x 50 but {e} is 1 x 50\n"
+
+    def test_x_and_truth_shape_mismatch(self, tmp_path, capsys):
+        x, e, truth = tmp_path / "X.tsv", tmp_path / "E.tsv", tmp_path / "truth.tsv"
+        out = tmp_path / "rep.tsv"
+        write_tsv(DenseMatrix(np.eye(2)), x)
+        write_tsv(DenseMatrix(np.zeros((2, 2))), e)
+        write_tsv(DenseMatrix(np.eye(3, 2)), truth)
+        rc = main(["evaluate", "--x", str(x), "--e", str(e), "--truth", str(truth),
+                   "--threshold", "0.5", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (f"error: {x} is 2 x 2 but {truth} is 3 x 2\n", "")
+        assert not out.exists()
 
     @pytest.mark.parametrize("shape", [(7, 3), (50, 100)])
     def test_input_and_x_shape_mismatch(self, tmp_path, capsys, shape):
@@ -727,6 +743,30 @@ class TestAnalyze:
         embedding = (out / "embedding.tsv").read_bytes().decode("utf-8").splitlines()
         assert [line.split("\t")[0] for line in embedding[1:]] == ["\u00e9", "s2"]
         (out / "manifest.txt").read_bytes().decode("utf-8")
+
+    def test_non_ascii_path_argument_under_non_utf8_locale(self, tmp_path):
+        """Under the same locale a non-ASCII path argument reaches Python as
+        surrogate escapes; analyze and decompose still exit 0, and manifest.txt
+        records the path's own bytes."""
+        d = tmp_path / "dé"
+        d.mkdir()
+        for name, p_values in (("a", [1e-20, 0.5, 0.2, 0.9]), ("b", [1e-15, 0.3, 0.6, 0.1])):
+            body = "".join(f"rs{i}\t{p}\n" for i, p in enumerate(p_values))
+            (d / f"{name}.tsv").write_text("snp\tp\n" + body, encoding="utf-8")
+        (d / "studies.txt").write_text("s1\ta.tsv\ns2\tb.tsv\n", encoding="utf-8")
+        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+        def lrsd(*args):
+            run = subprocess.run([sys.executable, "-m", "lrsd.cli", *map(str, args)],
+                                 capture_output=True, env=env, timeout=120)
+            assert (run.returncode, run.stderr) == (0, b"")
+
+        mani, z = d / "studies.txt", d / "an" / "z.tsv"
+        lrsd("analyze", "--manifest", mani, "--min-coverage", "1", "--out", d / "an")
+        assert b"manifest=" + os.fsencode(mani) + b"\n" in (d / "an" / "manifest.txt").read_bytes()
+        lrsd("decompose", "--input", z, "--out", d / "dec")
+        assert b"input=" + os.fsencode(z) + b"\n" in (d / "dec" / "manifest.txt").read_bytes()
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--alpha", "nan", "alpha"),

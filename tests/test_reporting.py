@@ -13,12 +13,9 @@ from hypothesis.extra.numpy import arrays
 from lrsd import matrix
 from lrsd.cli import main
 from lrsd.matrix import DenseMatrix, write_tsv
-from lrsd.reporting import (
-    embed_studies,
-    single_linkage_groups,
-    write_snp_report,
-)
+from lrsd.reporting import embed_studies, write_snp_report
 from lrsd.solver import SolverResult, detect
+from reference import single_linkage_groups
 
 
 class TestEmbedStudies:

