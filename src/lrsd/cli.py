@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .matrix import read_mask, read_tsv, write_tsv
+from .matrix import _same_shape, read_mask, read_tsv, write_tsv
 from .metrics import benchmark, benchmark_grid, score, write_benchmark_tsv
 from .reporting import embed_studies, write_snp_report
 from .simulate import PatternSpec, generate, save_instance
@@ -36,11 +36,13 @@ class _Refusal(Exception):
 
 @contextmanager
 def _input():
-    """Refuse with the message of an OSError or ValueError raised inside."""
+    """Refuse an OSError raised inside as `cannot read PATH: REASON` (its own
+    message if it names no file), and a ValueError with its message."""
     try:
         yield
     except (OSError, ValueError) as exc:
-        raise _Refusal(str(exc)) from exc
+        name = getattr(exc, "filename", None)
+        raise _Refusal(str(exc) if name is None else f"cannot read {name}: {exc.strerror}") from exc
 
 
 @contextmanager
@@ -157,13 +159,6 @@ def cmd_decompose(args) -> int:
     return code
 
 
-def _same_shape(path_a, a, path_b, b) -> None:
-    """Refuse two inputs of different shapes, naming both files."""
-    if a.shape != b.shape:
-        raise ValueError(f"{path_a} is {a.shape[0]} x {a.shape[1]} but {path_b} "
-                         f"is {b.shape[0]} x {b.shape[1]}")
-
-
 def cmd_evaluate(args) -> int:
     with _input():  # bad flag values fail before --out is touched
         grid = benchmark_grid(args.seed) if args.benchmark else None
@@ -175,7 +170,8 @@ def cmd_evaluate(args) -> int:
                 open(args.out, "w", encoding="utf-8").close()
         rows = benchmark(grid, args.seeds)
         if args.out:
-            write_benchmark_tsv(rows, args.out)
+            with _output(args.out):
+                write_benchmark_tsv(rows, args.out)
         for r in rows:
             print(
                 f"pattern {r.pattern_id} divisor {r.divisor:g}: SNR {r.snr_mean:.2f} "
@@ -191,7 +187,7 @@ def cmd_evaluate(args) -> int:
             pred_path, pred = args.mask, read_mask(args.mask)
         elif args.x is not None and args.e is not None:
             pred_path, X, E = args.x, read_tsv(args.x), read_tsv(args.e)
-            _same_shape(args.x, X, args.e, E)
+            _same_shape((args.x, X), (args.e, E))
             T = args.threshold
             if T is None:
                 if args.input is None:
@@ -199,12 +195,12 @@ def cmd_evaluate(args) -> int:
                                    "or --input to derive it from the data")
                 # the noise scale lives in the raw data, not in X or E
                 D = read_tsv(args.input)
-                _same_shape(args.input, D, args.x, X)
+                _same_shape((args.input, D), (args.x, X))
                 T = resolve_params(D)[2]
             pred = _detect(X.values, E.values, T)
         else:
             raise _Refusal("give either --mask or both --x and --e")
-        _same_shape(pred_path, pred, args.truth, truth)
+        _same_shape((pred_path, pred), (args.truth, truth))
         report = score(pred, truth)
     if args.out:  # written only once the inputs are read and scored
         with _output(args.out), open(args.out, "w", encoding="utf-8") as fh:
@@ -345,7 +341,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _Refusal as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        buffer = getattr(sys.stderr, "buffer", None)
+        if buffer is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:   # UTF-8 bytes, so a path argument that did not decode prints as given
+            sys.stderr.flush()
+            buffer.write(f"error: {exc}\n".encode("utf-8", "surrogateescape"))
         return EXIT_INPUT
 
 

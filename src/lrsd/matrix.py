@@ -9,6 +9,7 @@ import signal
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,17 @@ def as_array(m, name: str) -> np.ndarray:
     if not dense and not np.isfinite(a).all():
         raise ValueError(f"{name} has NaN or Inf entries")
     return a
+
+
+def _same_shape(*named) -> None:
+    """Refuse arrays of different shapes, given as (name, array) pairs, with
+    one ValueError `A is r x c but B is r x c` that names the first array and
+    the first whose shape differs from it; any number of dimensions is
+    written this way (`4` for a 1-D array of 4)."""
+    (name_a, dims_a), *rest = [(name, " x ".join(map(str, a.shape))) for name, a in named]
+    for name_b, dims_b in rest:
+        if dims_b != dims_a:
+            raise ValueError(f"{name_a} is {dims_a} but {name_b} is {dims_b}")
 
 
 def write_tsv(m: DenseMatrix, path) -> None:
@@ -243,6 +255,24 @@ def _numeric(s: str) -> bool:
         return False
 
 
+@contextmanager
+def _open_utf8(path):
+    """Open `path` to read as UTF-8 text, skipping a leading byte-order mark
+    (BOM). A byte that is not UTF-8, met while the block reads the file, is
+    refused as `ValueError("PATH:LINE: not UTF-8 text")`; only then is the
+    file read again, as bytes, to find the line (`?` if the file has changed
+    since and every line now decodes)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # a line is UTF-8 when decoding it with replacement and encoding it back gives it
+            fh.buffer.seek(0)
+            lineno = next((i for i, line in enumerate(fh.buffer, start=1)
+                           if line.decode("utf-8", "replace").encode() != line), "?")
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def read_tsv(path) -> DenseMatrix:
     """Read a TSV matrix, with the layout rule `write_tsv` writes by.
 
@@ -259,9 +289,10 @@ def read_tsv(path) -> DenseMatrix:
     Blank lines are skipped; error line numbers count them. An entry that
     is not a number, or is NaN, +Inf or -Inf, is refused with a ValueError
     that names the file and line. The file is read as UTF-8; a leading
-    byte-order mark (BOM) is skipped.
+    byte-order mark (BOM) is skipped, and a byte that is not UTF-8 is
+    refused with `PATH:LINE: not UTF-8 text`.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         start, lineno, first = _next_row(fh, 0)
         if first is None:
             raise ValueError(f"{path}: empty matrix file")

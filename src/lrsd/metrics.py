@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .matrix import _same_shape
 from .simulate import PatternSpec, generate
 from .solver import auto_config, detect, solve
 
@@ -26,8 +27,7 @@ def score(predicted: np.ndarray, truth: np.ndarray) -> DetectionReport:
     """Entrywise confusion counts and P/R/F1 of a mask against ground truth."""
     pred = np.asarray(predicted, dtype=bool)
     true = np.asarray(truth, dtype=bool)
-    if pred.shape != true.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {true.shape}")
+    _same_shape(("predicted", pred), ("truth", true))
     tp, n_pred, n_true = (int(np.count_nonzero(a)) for a in (pred & true, pred, true))
     fp, fn = n_pred - tp, n_true - tp
     tn = pred.size - n_pred - fn

@@ -101,7 +101,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .matrix import DenseMatrix, _usable_cpus, as_array
+from .matrix import DenseMatrix, _same_shape, _usable_cpus, as_array
 
 MAD_TO_SIGMA = 1.48          # normal-consistency factor for the MAD scale estimate
 BETA_RATIO = 2.0             # beta = BETA_RATIO * alpha / sqrt(larger dimension)
@@ -176,16 +176,10 @@ class SolverResult:
     nnz_of_E: int
 
 
-def _check_same_shape(*arrays):
-    shapes = {a.shape for a in arrays}
-    if len(shapes) > 1:
-        raise ValueError(f"shape mismatch: {sorted(shapes)}")
-
-
 def objective(D, X, E, alpha: float, beta: float) -> float:
     """Value of 0.5*||D-X-E||_F^2 + alpha*||X||_* + beta*||E||_1."""
     d, x, e = as_array(D, "D"), as_array(X, "X"), as_array(E, "E")
-    _check_same_shape(d, x, e)
+    _same_shape(("D", d), ("X", x), ("E", e))
     nuc = _right_svd(_tall(x)[0])[0].sum()
     return float(0.5 * ((d - x - e) ** 2).sum() + alpha * nuc + beta * np.abs(e).sum())
 
@@ -626,7 +620,7 @@ def solve(D, config: SolverConfig, x0=None) -> SolverResult:
         labels = dict(row_labels=D.row_labels, col_labels=D.col_labels)
     if x0 is not None:
         x0 = as_array(x0, "x0")
-        _check_same_shape(d, x0)
+        _same_shape(("D", d), ("x0", x0))
 
     alpha, beta = config.alpha, config.beta
     E, E_new = np.zeros_like(d), np.empty(d.shape)
@@ -674,7 +668,7 @@ def optimality_residual(D, X, E, alpha: float, beta: float) -> float:
     Returns the largest violation among these conditions.
     """
     d, x, e = as_array(D, "D"), as_array(X, "X"), as_array(E, "E")
-    _check_same_shape(d, x, e)
+    _same_shape(("D", d), ("X", x), ("E", e))
     R = d - x - e
 
     U, s, Vt = np.linalg.svd(x, full_matrices=False)

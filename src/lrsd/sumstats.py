@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import DenseMatrix, write_mask, write_tsv
+from .matrix import DenseMatrix, _open_utf8, write_mask, write_tsv
 
 P_CLAMP = 1e-300   # smaller p-values are clamped here (z ~ 37) and counted
 
@@ -59,11 +59,12 @@ def p_to_z(p):
 def parse_study(path, study_name: str | None = None) -> StudySummary:
     """Parse one study TSV with header columns `snp` and `p` (extras ignored).
 
-    The file is read as UTF-8; a leading byte-order mark (BOM) is skipped.
+    The file is read as UTF-8; a leading byte-order mark (BOM) is skipped,
+    and a byte that is not UTF-8 is refused with `PATH:LINE: not UTF-8 text`.
     """
     path = Path(path)
     name = study_name if study_name is not None else path.stem
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         header_line = fh.readline().rstrip("\n")
         if not header_line:
             raise SumstatsParseError(f"{path}: empty file")
@@ -207,10 +208,11 @@ def read_manifest(path) -> list[tuple[str, Path]]:
     kept. A study name may appear only once, also when surrounding
     whitespace is ignored, and neither field may be empty or whitespace
     only. The file is read as UTF-8; a leading byte-order mark (BOM) is
-    skipped."""
+    skipped, and a byte that is not UTF-8 is refused with `PATH:LINE: not
+    UTF-8 text`."""
     path = Path(path)
     entries, names = [], set()
-    with open(path, encoding="utf-8-sig") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -164,6 +164,14 @@ class TestDecompose:
         _assert_stage_times(mani, ["read", "solve", "write"])
         _assert_peak_rss(mani, after="nnz_of_E")
 
+    def test_non_utf8_matrix_refused(self, tmp_path, capsys):
+        m = tmp_path / "latin1.tsv"
+        m.write_bytes(b"id\ta\tb\nr1\t1\t2\nr\xe9\t3\t4\n")
+        rc = main(["decompose", "--input", str(m), "--out", str(tmp_path / "dec")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {m}:3: not UTF-8 text\n")
+        assert not (tmp_path / "dec").exists()
+
 
 def _assert_peak_rss(mani, after):
     """peak_rss_mb, in MB to one decimal, just after `after` and just before the stage times."""
@@ -354,6 +362,19 @@ class TestEvaluate:
         assert captured.out == ""  # the grid never ran
         assert captured.err.startswith("error:") and str(out) in captured.err
 
+    def test_benchmark_failed_write_refused(self, tmp_path, monkeypatch, capsys):
+        """A write that fails after the grid ran is refused as any unwritable
+        output is: one `error:` line and exit 2, not a traceback."""
+        def disk_full(rows, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_benchmark_tsv", disk_full)
+        out = tmp_path / "bench.tsv"
+        rc = main(["evaluate", "--benchmark", "--seeds", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+
     def test_report_unwritable_out(self, tmp_path, capsys):
         write_tsv(DenseMatrix(np.eye(3)), tmp_path / "m.tsv")
         out = tmp_path / "missing" / "rep.tsv"
@@ -385,7 +406,7 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("mask, out, err", [
-        ("missing.tsv", "rep.tsv", "error: [Errno 2] No such file or directory: '{mask}'\n"),
+        ("missing.tsv", "rep.tsv", "error: cannot read {mask}: No such file or directory\n"),
         ("t.tsv", "missing/rep.tsv", "error: cannot write {out}: No such file or directory\n"),
     ], ids=["missing mask", "unwritable out"])
     def test_refusal_leaves_no_report(self, tmp_path, capsys, mask, out, err):
@@ -767,6 +788,48 @@ class TestAnalyze:
         assert b"manifest=" + os.fsencode(mani) + b"\n" in (d / "an" / "manifest.txt").read_bytes()
         lrsd("decompose", "--input", z, "--out", d / "dec")
         assert b"input=" + os.fsencode(z) + b"\n" in (d / "dec" / "manifest.txt").read_bytes()
+
+    def test_error_line_prints_path_argument_as_given(self, tmp_path):
+        """Under the same locale an error line carries a path argument's own
+        bytes, and a file that cannot be read is refused as `cannot read PATH:
+        REASON`, the form of a failed write."""
+        d = tmp_path / "dé"
+        d.mkdir()
+        (d / "a.tsv").write_text("snp\tp\nrs1\t0.5\n", encoding="utf-8")
+        (d / "studies.txt").write_text("s1\ta.tsv\ns2\tmissing.tsv\n", encoding="utf-8")
+        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
+               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+        def stderr(*args):
+            run = subprocess.run([sys.executable, "-m", "lrsd.cli", *map(str, args)],
+                                 capture_output=True, env=env, timeout=120)
+            assert (run.returncode, run.stdout) == (2, b"")
+            return run.stderr
+
+        missing = d / "missing.tsv"
+        assert stderr("decompose", "--input", missing, "--out", d / "dec") == (
+            b"error: cannot read " + os.fsencode(missing) + b": No such file or directory\n")
+        assert stderr("analyze", "--manifest", d / "studies.txt", "--min-coverage", "1",
+                      "--out", d / "an") == (
+            b"error: study s2: missing file " + os.fsencode(missing) + b"\n")
+
+    @pytest.mark.parametrize("bad, line", [("b.tsv", b"rs\xe92\t0.3\n"),
+                                           ("studies.txt", b"\xe9\ta.tsv\n")],
+                             ids=["study", "manifest"])
+    def test_non_utf8_input_refused(self, tmp_path, capsys, bad, line):
+        """A study file or manifest that is not UTF-8 is refused, naming the
+        file and the line of the first byte that does not decode."""
+        (tmp_path / "a.tsv").write_bytes(b"snp\tp\nrs1\t0.5\nrs2\t0.1\n")
+        (tmp_path / "b.tsv").write_bytes(b"snp\tp\nrs1\t0.2\n")
+        (tmp_path / "studies.txt").write_bytes(b"s1\ta.tsv\ns2\tb.tsv\n")
+        with open(tmp_path / bad, "ab") as fh:   # line 3, with a Latin-1 byte
+            fh.write(line)
+        out = tmp_path / "out"
+        rc = main(["analyze", "--manifest", str(tmp_path / "studies.txt"), "--min-coverage", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / bad}:3: not UTF-8 text\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--alpha", "nan", "alpha"),

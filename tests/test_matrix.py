@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -390,6 +391,23 @@ def test_read_skips_a_leading_byte_order_mark(tmp_path):
         read_tsv(p)
     p.write_bytes(b"\xef\xbb\xbfid\ta\tb\nr1\t1\t2\n")
     assert read_tsv(p).col_labels == ("a", "b")
+
+
+
+@pytest.mark.parametrize("bad", [b"\xe9", b"\xc3", b"\xed\xa0\x80"],
+                         ids=["latin-1", "truncated", "encoded surrogate"])
+def test_read_refuses_text_that_is_not_utf8(tmp_path, bad):
+    """The line is found by a second, binary read, so it is right also far
+    past the text reader's first decoded chunk, after a BOM and after
+    multi-byte characters that do decode."""
+    rows = [f"r\u00e9{i}\t{i}\t1" for i in range(5000)]
+    body = "\n".join(["id\ta\tb", *rows]).encode() + b"\n"
+    lines = body.splitlines(True)
+    lines[3999] = lines[3999].replace(b"\t1", b"\t1" + bad, 1)
+    p = tmp_path / "m.tsv"
+    p.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:4000: not UTF-8 text$"):
+        read_tsv(p)
 
 
 def test_read_ragged_message(tmp_path):

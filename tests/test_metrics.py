@@ -111,6 +111,17 @@ class TestScore:
         with pytest.raises(ValueError):
             score(np.zeros((2, 2), dtype=bool), np.zeros((2, 3), dtype=bool))
 
+    @pytest.mark.parametrize("pred, truth, message", [
+        ((2, 2), (2, 3), "predicted is 2 x 2 but truth is 2 x 3"),
+        ((4,), (3,), "predicted is 4 but truth is 3"),
+        ((6,), (2, 3), "predicted is 6 but truth is 2 x 3"),
+        ((2, 2, 2), (2, 2), "predicted is 2 x 2 x 2 but truth is 2 x 2"),
+    ])
+    def test_shape_mismatch_message(self, pred, truth, message):
+        # masks are taken as they come, so the message writes any number of dimensions
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score(np.zeros(pred, dtype=bool), np.zeros(truth, dtype=bool))
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         pred = rng.random((6, 5)) < 0.4

@@ -380,6 +380,24 @@ def test_non_finite_input_refused_at_the_boundary(entry, bad, layout):
         call(m)
 
 
+_SQUARE, _WIDE = np.zeros((2, 2)), np.zeros((2, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: objective(_SQUARE, _WIDE, _SQUARE, 1.0, 1.0), "D is 2 x 2 but X is 2 x 3"),
+    (lambda: objective(_SQUARE, _SQUARE, _WIDE, 1.0, 1.0), "D is 2 x 2 but E is 2 x 3"),
+    (lambda: optimality_residual(_WIDE, _SQUARE, _SQUARE, 1.0, 1.0), "D is 2 x 3 but X is 2 x 2"),
+    (lambda: optimality_residual(_SQUARE, _SQUARE, _WIDE, 1.0, 1.0), "D is 2 x 2 but E is 2 x 3"),
+    (lambda: solve(_OK, _CFG, x0=_OK[:-1]), "D is 40 x 6 but x0 is 39 x 6"),
+    (lambda: solve(_OK, _CFG, x0=_OK.T), "D is 40 x 6 but x0 is 6 x 40"),
+], ids=["objective X", "objective E", "optimality_residual X", "optimality_residual E",
+        "solve x0 rows", "solve x0 transposed"])
+def test_shape_mismatch_names_both_arguments(call, message):
+    # one shape rule (`matrix._same_shape`): the first argument and the first that differs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["raw array", "DenseMatrix"])
 def test_finiteness_checked_once(dense):
     # a raw D is checked in one pass by auto_config and one by solve; a DenseMatrix,
