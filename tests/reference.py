@@ -1,15 +1,19 @@
-"""Reference code that only the tests use.
+"""Reference code and helpers that only the tests use.
 
 Test files import it as `from reference import ...`: with no `__init__.py`
 in `tests/`, pytest puts this directory on `sys.path`.
 """
 
+import os
+import subprocess
+import sys
 from itertools import compress
 
 import numpy as np
 from scipy import special
 from scipy.cluster.hierarchy import fcluster, linkage
 
+import lrsd
 from lrsd.matrix import as_array
 from lrsd.sumstats import AlignedPanel, StudySummary
 
@@ -38,3 +42,15 @@ def single_linkage_groups(embedding, radius: float) -> list[int]:
     raw = fcluster(linkage(pts, method="single"), t=radius, criterion="distance")
     seen: dict[int, int] = {}
     return [seen.setdefault(c, len(seen)) for c in raw]
+
+
+def run_python(*args, env=None, **kwargs):
+    """`python ARGS` in a child process that imports the `lrsd` this process
+    imported: the installed package, or `src/` where PYTHONPATH names it.
+
+    The child's environment is that PYTHONPATH entry and `env`, nothing
+    else; `kwargs` go to `subprocess.run`, which captures both streams.
+    """
+    where = os.path.dirname(os.path.dirname(os.path.abspath(lrsd.__file__)))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          env={"PYTHONPATH": where, **(env or {})}, timeout=120, **kwargs)

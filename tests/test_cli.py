@@ -4,8 +4,6 @@ import math
 import os
 import random
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from lrsd.metrics import score
 from lrsd.reporting import embed_studies, write_snp_report
 from lrsd.simulate import PatternSpec, generate
 from lrsd.solver import SolverConfig, auto_config, detect, solve
+from reference import run_python
 
 
 def _read_manifest(path):
@@ -25,6 +24,16 @@ def _read_manifest(path):
         key, _, value = line.partition("=")
         out[key] = value
     return out
+
+
+# sha256 of `simulate --pattern 4 --seed 1`'s files, recorded before `generate`
+# cached its planted bases
+SIMULATE_SHA256 = {
+    "data.tsv": "a28a98d97fd7fd25709c267508520415346445a1f611aadab7e9956ac8291de0",
+    "truth.tsv": "5427f441191e88e703c1dd981e0cdc4d92b498a1085955412ba646ed1b57109e",
+    "mask.tsv": "f4c5c88298a3517d7a4737a273dfb67ccc9763b734e2b997d1a1260849223b66",
+    "meta.txt": "300348f9c8eb0680d9b5f458e1434fd606ad120793d6e1d6ed88caa6caa22f69",
+}
 
 
 class TestSimulate:
@@ -46,6 +55,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--pattern", "9"])
         assert exc.value.code == 2
+
+    def test_instance_files_golden(self, tmp_path):
+        """The four files `simulate` writes, byte for byte."""
+        assert main(["simulate", "--pattern", "4", "--seed", "1", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SIMULATE_SHA256}
+        assert digests == SIMULATE_SHA256
 
     @pytest.mark.parametrize("case", ["divisor", "nan divisor", "inf divisor", "seed", "out"])
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
@@ -613,6 +629,11 @@ def _force_writers(monkeypatch, workers=4, block=16):
     monkeypatch.setattr(matrix, "_writers", lambda n_rows: workers)
 
 
+# the C locale with UTF-8 mode and locale coercion off: Python's default
+# text encoding is ASCII, and a non-ASCII argument reaches it as surrogate escapes
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -743,20 +764,17 @@ class TestAnalyze:
             body = "".join(f"{snp}\t{p}\n" for snp, p in zip(ids, p_values))
             (tmp_path / f"{name}.tsv").write_text("snp\tp\n" + body, encoding="utf-8")
         (tmp_path / "studies.txt").write_text("\u00e9\ta.tsv\ns2\tb.tsv\n", encoding="utf-8")
-        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
-               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-        encoding = subprocess.run(
-            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-            capture_output=True, text=True, check=True, env=env, timeout=60).stdout.strip()
+        encoding = run_python(
+            "-c", "import locale; print(locale.getpreferredencoding(False))",
+            env=C_LOCALE, text=True, check=True).stdout.strip()
         assert encoding.lower().replace("-", "") != "utf8"
         # as _force_writers does: four writers, so forked shares write non-ASCII rows
         command = ["-c", "import sys; from lrsd import matrix, cli; matrix._WRITE_BLOCK = 16; "
                    "matrix._writers = lambda n_rows: 4; sys.exit(cli.main(sys.argv[1:]))"]
         out = tmp_path / "out"
-        run = subprocess.run(
-            [sys.executable, *(command if forced else ["-m", "lrsd.cli"]), "analyze",
-             "--manifest", str(tmp_path / "studies.txt"), "--min-coverage", "1",
-             "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        run = run_python(*(command if forced else ["-m", "lrsd.cli"]), "analyze",
+                         "--manifest", tmp_path / "studies.txt", "--min-coverage", "1",
+                         "--out", out, env=C_LOCALE, text=True)
         assert (run.returncode, run.stderr) == (0, "")
         z = (out / "z.tsv").read_bytes().decode("utf-8").splitlines()
         assert z[0] == "id\t\u00e9\ts2"
@@ -775,12 +793,9 @@ class TestAnalyze:
             body = "".join(f"rs{i}\t{p}\n" for i, p in enumerate(p_values))
             (d / f"{name}.tsv").write_text("snp\tp\n" + body, encoding="utf-8")
         (d / "studies.txt").write_text("s1\ta.tsv\ns2\tb.tsv\n", encoding="utf-8")
-        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
-               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
         def lrsd(*args):
-            run = subprocess.run([sys.executable, "-m", "lrsd.cli", *map(str, args)],
-                                 capture_output=True, env=env, timeout=120)
+            run = run_python("-m", "lrsd.cli", *args, env=C_LOCALE)
             assert (run.returncode, run.stderr) == (0, b"")
 
         mani, z = d / "studies.txt", d / "an" / "z.tsv"
@@ -797,12 +812,9 @@ class TestAnalyze:
         d.mkdir()
         (d / "a.tsv").write_text("snp\tp\nrs1\t0.5\n", encoding="utf-8")
         (d / "studies.txt").write_text("s1\ta.tsv\ns2\tmissing.tsv\n", encoding="utf-8")
-        env = {"PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(matrix.__file__))),
-               "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
         def stderr(*args):
-            run = subprocess.run([sys.executable, "-m", "lrsd.cli", *map(str, args)],
-                                 capture_output=True, env=env, timeout=120)
+            run = run_python("-m", "lrsd.cli", *args, env=C_LOCALE)
             assert (run.returncode, run.stdout) == (2, b"")
             return run.stderr
 

@@ -1,14 +1,9 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-import lrsd
 from lrsd.sumstats import (
     P_CLAMP,
     StudySummary,
@@ -20,7 +15,7 @@ from lrsd.sumstats import (
     write_panel,
 )
 from lrsd.sumstats import _bulk_records, _scan_records
-from reference import panel_to_studies
+from reference import panel_to_studies, run_python
 
 
 def _write(tmp_path, name, rows, header="snp\tp"):
@@ -345,7 +340,6 @@ def test_scipy_special_is_imported_by_analyze_before_its_stage_clock(tmp_path):
     for name, body in (("a", "rs1\t0.5\nrs2\t1e-6\n"), ("b", "rs1\t0.9\nrs2\t0.2\n")):
         (tmp_path / f"{name}.tsv").write_text("snp\tp\n" + body)
     (tmp_path / "studies.txt").write_text("a\ta.tsv\nb\tb.tsv\n")
-    src = str(Path(lrsd.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys, lrsd.cli",
         "print(*(m in sys.modules for m in ('scipy.special', 'scipy.linalg.lapack')))",
@@ -357,9 +351,8 @@ def test_scipy_special_is_imported_by_analyze_before_its_stage_clock(tmp_path):
         "lrsd.cli.main(['analyze', '--manifest', sys.argv[1], '--min-coverage', '1',",
         "               '--out', sys.argv[2]])",
     ])
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "studies.txt"),
-                          str(tmp_path / "out")], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": src}, timeout=120)
+    out = run_python("-c", code, tmp_path / "studies.txt", tmp_path / "out",
+                     text=True, check=True)
     assert out.stdout.split()[:3] == ["False", "True", "True"]
     assert (tmp_path / "out" / "z.tsv").exists()
 
